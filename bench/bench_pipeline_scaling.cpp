@@ -18,11 +18,11 @@
 // A GPU1 series compares the reference-stage modes head-to-head on a
 // reference-heavy deployment (16 streams of 256x192 frames at high target
 // occupancy, so the expensive full-resolution segmentation dominates):
-// ref_single (the pre-batching loop), ref_batch (micro-batched
-// ReferenceDetector::detect_batch), and ref_crop_pack (cross-stream mosaic
-// consolidation). Each batched row carries its per-frame pass/fail
-// agreement with the ref_single oracle, so the throughput gain is archived
-// next to the accuracy it costs.
+// ref_batch (micro-batched ReferenceDetector::detect_batch) and
+// ref_crop_pack (cross-stream mosaic consolidation). Each row carries its
+// per-frame pass/fail agreement with a sequential oracle (the cascade one
+// frame at a time, then a direct ReferenceDetector::detect), so the
+// throughput is archived next to the accuracy it costs.
 //
 // A final pair of 16-stream offline rows measures the telemetry subsystem
 // itself: three interleaved off/on pairs (sampler at --metrics-interval-ms
@@ -257,9 +257,8 @@ int main(int argc, char** argv) {
     };
     // The hint chain's pixel-SDD agreement is deterministic (a pure replay
     // of hints against decoded distances), so it is computed once offline
-    // rather than per measured run. The default FfsVaConfig's conservative
-    // band is what the engine runs with.
-    const double hint_relax = core::FfsVaConfig{}.sdd_hint_relax;
+    // rather than per measured run, with the engine's conservative band.
+    const double hint_relax = core::kSddHintRelax;
     const auto agreement_report = detect::compressed_sdd_agreement(
         *stored, *dec_models.sdd, hint_relax);
 
@@ -322,7 +321,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- GPU1 reference-stage modes: single vs batch vs crop_pack -----------
+  // --- GPU1 reference-stage modes: batch vs crop_pack ---------------------
   // The scaling window above is cheap-filter bound (tiny frames, low target
   // occupancy), which is the right regime for the cascade — but it hides
   // GPU1. This series re-specializes on a reference-heavy deployment so the
@@ -350,31 +349,47 @@ int main(int argc, char** argv) {
       ref_window.push_back(ref_sim.render(ref_calib + i));
     }
 
+    using Verdicts = std::map<std::pair<int, std::int64_t>, bool>;
     struct ModeRun {
       double fps = 0.0, p50 = 0.0, p99 = 0.0;
-      std::map<std::pair<int, std::int64_t>, bool> pass;  ///< Frame verdicts.
+      Verdicts pass;  ///< Frame verdicts.
       std::uint64_t batches = 0, fallbacks = 0, seam = 0;
     };
     const double conf = ref_models.reference->config().confidence_threshold;
+    // The engine-independent oracle: each window frame through the cascade
+    // one at a time, and every survivor through a direct reference detect.
+    // Every stream replays the same window with the same models, so one
+    // pass over the window yields every stream's verdicts.
+    Verdicts oracle;
+    for (const auto& f : ref_window) {
+      if (!ref_models.sdd->pass(f.image) || !ref_models.snm->pass(f.image) ||
+          !ref_models.tyolo->pass(f.image, ref_models.target, 1)) {
+        continue;
+      }
+      const auto result = ref_models.reference->detect(f.image);
+      const bool pass = result.count_target(ref_models.target, conf) >= 1;
+      for (int s = 0; s < n; ++s) oracle[{s, f.index}] = pass;
+    }
     const auto run_mode = [&](core::RefMode mode) {
       core::FfsVaConfig cfg;
       cfg.ref_mode = mode;
       core::FfsVaInstance instance(cfg);
-      instance.set_output_sink([](const core::OutputEvent&) {});
+      ModeRun r;
+      // The sink runs on the reference thread only, and run() joins it
+      // before `r` is read.
+      instance.set_output_sink([&](const core::OutputEvent& ev) {
+        r.pass[{ev.frame.stream_id, ev.frame.index}] =
+            ev.result.count_target(ref_models.target, conf) >= 1;
+      });
       for (int s = 0; s < n; ++s) {
         instance.add_stream(std::make_unique<ReplaySource>(&ref_window, s),
                             ref_models);
       }
       const auto stats = instance.run(/*online=*/false);
       const auto agg = stats.aggregate();
-      ModeRun r;
       r.fps = stats.total_throughput_fps;
       r.p50 = agg.latency_ms.p50();
       r.p99 = agg.latency_ms.p99();
-      for (const auto& ev : instance.outputs()) {
-        r.pass[{ev.frame.stream_id, ev.frame.index}] =
-            ev.result.count_target(ref_models.target, conf) >= 1;
-      }
       r.batches = instance.metrics().counter("executor.ref_batches").value();
       r.fallbacks = instance.metrics().counter("ref.full_frame_fallbacks").value();
       r.seam = instance.metrics().counter("ref.seam_suppressed").value();
@@ -382,17 +397,17 @@ int main(int argc, char** argv) {
     };
     // Frames are keyed (stream, index): 16-stream emission interleave is
     // scheduling-dependent, so agreement is computed over the union of
-    // emitted frames — a frame one mode emitted and the other did not is a
-    // disagreement, not a skip.
-    const auto agreement = [](const ModeRun& oracle, const ModeRun& other) {
+    // oracle and emitted frames — a frame one side kept and the other did
+    // not is a disagreement, not a skip.
+    const auto agreement = [&oracle](const Verdicts& got) {
       std::size_t agree = 0, total = 0;
-      for (const auto& [key, pass] : oracle.pass) {
+      for (const auto& [key, pass] : oracle) {
         ++total;
-        const auto it = other.pass.find(key);
-        if (it != other.pass.end() && it->second == pass) ++agree;
+        const auto it = got.find(key);
+        if (it != got.end() && it->second == pass) ++agree;
       }
-      for (const auto& [key, pass] : other.pass) {
-        if (!oracle.pass.count(key)) ++total;
+      for (const auto& [key, pass] : got) {
+        if (!oracle.count(key)) ++total;
       }
       return total > 0 ? static_cast<double>(agree) / static_cast<double>(total)
                        : 1.0;
@@ -401,25 +416,23 @@ int main(int argc, char** argv) {
     const struct {
       core::RefMode mode;
       const char* name;
-    } kModes[] = {{core::RefMode::kSingle, "ref_single"},
-                  {core::RefMode::kBatch, "ref_batch"},
+    } kModes[] = {{core::RefMode::kBatch, "ref_batch"},
                   {core::RefMode::kCropPack, "ref_crop_pack"}};
-    // Single-run noise on a shared host is several percent — larger than
-    // the single-vs-batch delta on a low-core machine — so the methodology
-    // matches the telemetry-overhead block: one discarded warmup (page
-    // cache, pool spin-up), then interleaved reps, best-of per mode.
-    // Verdict maps are deterministic per mode, so agreement is computed
-    // from the best runs.
+    // Single-run noise on a shared host is several percent, so the
+    // methodology matches the telemetry-overhead block: one discarded
+    // warmup (page cache, pool spin-up), then interleaved reps, best-of per
+    // mode. Verdict maps are deterministic per mode, so agreement is
+    // computed from the best runs.
     const int reps = 3;
     std::printf("\nreference-stage mode (%d streams, offline, 256x192, "
                 "best of %d)\n", n, reps);
     std::printf("%-16s %12s %12s %12s\n", "mode", "total FPS", "p50 lat(ms)",
                 "p99 lat(ms)");
     bench::print_rule();
-    (void)run_mode(core::RefMode::kSingle);  // warmup, discarded
-    ModeRun best[3];
+    (void)run_mode(core::RefMode::kBatch);  // warmup, discarded
+    ModeRun best[2];
     for (int rep = 0; rep < reps; ++rep) {
-      for (int m = 0; m < 3; ++m) {
+      for (int m = 0; m < 2; ++m) {
         ModeRun r = run_mode(kModes[m].mode);
         std::printf("%-16s %12.1f %12.1f %12.1f\n", kModes[m].name, r.fps,
                     r.p50, r.p99);
@@ -427,18 +440,16 @@ int main(int argc, char** argv) {
       }
     }
     bench::print_rule();
-    for (int m = 0; m < 3; ++m) {
+    for (int m = 0; m < 2; ++m) {
       const ModeRun& r = best[m];
-      const bool is_oracle = m == 0;
-      const double agree = is_oracle ? 1.0 : agreement(best[0], r);
+      const double agree = agreement(r.pass);
       std::printf("%-16s %12.1f %12.1f %12.1f agreement=%.4f\n", kModes[m].name,
                   r.fps, r.p50, r.p99, agree);
       char name[64];
       std::snprintf(name, sizeof(name), "%s%s/streams=%d", label.c_str(),
                     kModes[m].name, n);
       bench::JsonReport::Extras extras{{"oracle_agreement", agree}};
-      if (!is_oracle) extras.emplace_back("ref_batches",
-                                          static_cast<double>(r.batches));
+      extras.emplace_back("ref_batches", static_cast<double>(r.batches));
       if (kModes[m].mode == core::RefMode::kCropPack) {
         extras.emplace_back("full_frame_fallbacks",
                             static_cast<double>(r.fallbacks));

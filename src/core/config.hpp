@@ -31,8 +31,6 @@ enum class DegradePolicy : std::uint8_t { kDrop = 0, kBypass = 1 };
 const char* to_string(DegradePolicy p);
 
 /// How the GPU1 reference stage consumes its queue:
-///  * kSingle   — one frame per detect() call (the paper's deployment; the
-///                pre-batching engine behaviour).
 ///  * kBatch    — drain ref_q in cross-stream micro-batches of up to
 ///                ref_batch_size frames under the shared BatchPolicy and
 ///                evaluate them together (detect_batch), amortizing setup
@@ -41,8 +39,9 @@ const char* to_string(DegradePolicy p);
 ///                candidate crops (T-YOLO's boxes) from many streams into
 ///                mosaic canvases and run the reference model once per
 ///                mosaic, falling back to full-frame detection for frames
-///                whose candidate area exceeds crop_coverage_threshold.
-enum class RefMode : std::uint8_t { kSingle = 0, kBatch = 1, kCropPack = 2 };
+///                whose candidate area exceeds the coverage threshold
+///                (detect::CropPackConfig).
+enum class RefMode : std::uint8_t { kBatch = 0, kCropPack = 1 };
 
 const char* to_string(RefMode m);
 
@@ -58,6 +57,12 @@ const char* to_string(RefMode m);
 enum class DecodePolicy : std::uint8_t { kFull = 0, kHinted = 1 };
 
 const char* to_string(DecodePolicy p);
+
+/// Conservative band of the hinted-ingest decision, in (0, 1]: a hint may
+/// skip a frame only when its distance bracket stays below
+/// delta_diff * kSddHintRelax, and pass one only above
+/// delta_diff / kSddHintRelax; everything between falls back to pixel SDD.
+inline constexpr double kSddHintRelax = 0.9;
 
 struct FfsVaConfig {
   // --- user-facing event definition (Section 4.2) -------------------------
@@ -87,31 +92,14 @@ struct FfsVaConfig {
   int num_tyolo = 4;
 
   // --- GPU1 reference stage: micro-batching + crop consolidation -----------
-  /// How the reference loop consumes ref_q (see RefMode). kBatch preserves
-  /// the single-frame path's outputs bit-for-bit (same per-frame model, same
+  /// How the reference loop consumes ref_q (see RefMode). kBatch emits
+  /// exactly what a per-frame ReferenceDetector::detect would (same
   /// per-stream FIFO order, same drop-on-error contract); kCropPack trades a
   /// bounded detection delta for running the expensive model on candidate
   /// pixels only.
   RefMode ref_mode = RefMode::kBatch;
   /// Micro-batch cap for the reference stage (mirrors batch_size for SNM).
   int ref_batch_size = 8;
-  /// Queue threshold handed to the reference DynamicBatcher (the analogue
-  /// of snm_queue_depth under BatchPolicy::kFeedback). Bounded above by
-  /// ref_queue_depth, which stays the physical queue capacity.
-  int ref_queue_threshold = 16;
-  /// Context padding (frame pixels) around each candidate box before crop
-  /// extraction — gives the full-resolution segmentation the local
-  /// neighbourhood the blur/morphology kernels need.
-  int crop_pad = 6;
-  /// Blank separation between packed crops (and to the canvas border) in
-  /// mosaic pixels. Must exceed twice the blur radius so blur spill from two
-  /// facing crops can never bridge a seam (detect/crop_pack.hpp).
-  int crop_gutter = 7;
-  /// Mosaic canvas edge (square canvases of crop_canvas_edge^2 pixels).
-  int crop_canvas_edge = 256;
-  /// Candidate-area fraction of a frame above which crop packing stops
-  /// paying and the frame falls back to one full-frame detect call.
-  double crop_coverage_threshold = 0.45;
 
   // --- engine sizing --------------------------------------------------------
   /// SDD worker-pool size. The engine runs a fixed pool of CPU workers over
@@ -127,12 +115,6 @@ struct FfsVaConfig {
   // --- ingest: codec-aware decode + worker pinning (DESIGN.md §13) ---------
   /// Compressed-domain fast path through prefetch (see DecodePolicy).
   DecodePolicy decode_policy = DecodePolicy::kFull;
-  /// Conservative band of the hint decision, in (0, 1]: a hint may skip a
-  /// frame only when its distance bracket stays below
-  /// delta_diff * sdd_hint_relax, and pass one only above
-  /// delta_diff / sdd_hint_relax; everything between falls back to pixel
-  /// SDD. 1.0 = no band (trust the bound exactly); lower = safer + slower.
-  double sdd_hint_relax = 0.9;
   /// Base CPU for pinning ingest (prefetch/decode) threads: stream i pins
   /// to CPU (ingest_affinity + i) mod cpu_count. Negative = no pinning
   /// (default). The FFSVA_AFFINITY environment variable overrides this
@@ -162,26 +144,14 @@ struct FfsVaConfig {
   /// Consecutive transient SourceErrors retried (with exponential backoff)
   /// before the prefetch loop escalates to a source restart.
   int source_max_retries = 3;
-  /// Source restarts attempted per stream before the stream is ended.
-  int source_max_restarts = 2;
-  /// Base backoff between retries/restarts; doubles per consecutive
-  /// attempt, capped at 100 ms, and aborts early on stop or quarantine.
-  int source_backoff_ms = 1;
   /// A model call (SDD distance, SNM/T-YOLO forward, reference
   /// segmentation, source decode) in flight for longer than this is
   /// cancelled by the watchdog: the call unwinds via CancelledError at its
   /// next tile boundary, the frame follows degrade_policy, and the stage
-  /// restarts under the budgets below (DESIGN.md Section 14). 0 disables
+  /// restarts under its budget (DESIGN.md Section 14). 0 disables
   /// cancellation — a wedged call is then only observed via
   /// health.stage_stall_ticks, the pre-escalation behavior.
   int model_call_timeout_ms = 0;
-  /// Stage restarts (SDD worker, GPU0 executor, reference stage) after
-  /// cancelled calls before the stage stops restarting and handles further
-  /// cancels inline (degrade the frame, keep serving).
-  int stage_max_restarts = 3;
-  /// Backoff before a stage re-enters its loop after a cancelled call;
-  /// doubles per consecutive restart, capped at 100 ms, aborts on stop.
-  int stage_restart_backoff_ms = 1;
 
   // --- dynamic streams / cluster serving (DESIGN.md §15) -------------------
   /// Stream-slot capacity for add_stream() DURING run(). 0 (default) keeps

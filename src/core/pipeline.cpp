@@ -44,6 +44,60 @@ struct Item {
 };
 
 telemetry::TraceBuffer& trace() { return telemetry::TraceBuffer::global(); }
+
+// Supervision budgets (DESIGN.md Sections 9 and 14).
+constexpr int kSourceMaxRestarts = 2;  ///< Source restarts before a stream ends.
+constexpr int kStageMaxRestarts = 3;   ///< Restarts per stage thread.
+/// Queue threshold of the reference-stage drain under BatchPolicy::kFeedback
+/// (the analogue of snm_queue_depth); ref_queue_depth stays the capacity.
+constexpr int kRefQueueThreshold = 16;
+
+/// How a frame's trip through the cascade ended. The first four values mean
+/// "dropped by that stage" and share StageId's numbering; every ingested
+/// frame reaches exactly one fate.
+enum class Fate : std::uint8_t {
+  kDropSdd,
+  kDropSnm,
+  kDropTyolo,
+  kDropRef,
+  kEmit,        ///< Vetted by the reference model and delivered.
+  kDiscard,     ///< Dumped by quarantine, or its next queue closed under it.
+  kIngestLoss,  ///< A live frame the full ingest buffer could not absorb.
+};
+
+/// How a guarded model call ended.
+enum class Call : std::uint8_t { kOk, kCancelled, kThrew };
+
+/// Runs one model call under the watchdog's eyes: `hb` (optional) reads
+/// busy for its duration, and the call is registered in `slot` so a wedge
+/// can be attributed to {stream, frame} and cancelled.
+template <class Fn>
+Call guarded_call(runtime::Heartbeat* hb, runtime::InflightCall& slot,
+                  int stream, std::int64_t frame, Fn&& fn) {
+  if (hb != nullptr) hb->busy();
+  Call outcome = Call::kOk;
+  try {
+    runtime::ModelCallGuard guard(slot, stream, frame);
+    fn();
+  } catch (const runtime::CancelledError&) {
+    outcome = Call::kCancelled;
+  } catch (...) {
+    outcome = Call::kThrew;
+  }
+  if (hb != nullptr) hb->idle();
+  return outcome;
+}
+
+/// Exponential backoff before a retry or restart: 1 ms doubled per attempt,
+/// capped at 100 ms, slept in 1 ms slices so `aborted()` ends it promptly.
+template <class Abort>
+void sliced_backoff(int attempt, const Abort& aborted) {
+  const auto ms = std::min<std::int64_t>(std::int64_t{1} << std::min(attempt, 20), 100);
+  const auto until = Clock::now() + std::chrono::milliseconds(ms);
+  while (Clock::now() < until && !aborted()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 }  // namespace
 
 /// A survivor bound for the reference stage: the frame plus the candidate
@@ -76,7 +130,6 @@ const char* to_string(DegradePolicy p) {
 
 const char* to_string(RefMode m) {
   switch (m) {
-    case RefMode::kSingle: return "single";
     case RefMode::kBatch: return "batch";
     case RefMode::kCropPack: return "crop_pack";
   }
@@ -131,16 +184,17 @@ struct FfsVaInstance::Stream {
   std::unique_ptr<video::FrameSource> source;
   detect::StreamModels models;
   FfsVaConfig cfg;  ///< Copy: the prefetch loop reads config without touching `this`.
+  /// The instance's registry handles; filled by wire_metrics() before any
+  /// thread that records through them starts.
+  const Hot* hot = nullptr;
 
   runtime::BoundedQueue<Item> sdd_q;
   runtime::BoundedQueue<Item> snm_q;
   runtime::BoundedQueue<Item> tyolo_q;
 
-  StreamStats stats;
-
   /// Everything the prefetch thread writes lives here as relaxed atomics:
-  /// snapshot() reads them mid-run (approximate by contract) and run()
-  /// freezes them into `stats` once the thread is joined.
+  /// snapshot() reads them mid-run (approximate by contract) and exactly
+  /// once the thread is joined.
   std::atomic<std::uint64_t> prefetch_in{0};
   std::atomic<std::uint64_t> prefetch_passed{0};
   std::atomic<std::uint64_t> dropped_ingest{0};
@@ -156,11 +210,9 @@ struct FfsVaInstance::Stream {
   /// frames the hint could not decide, runs pixel SDD on the fallbacks,
   /// and feeds snm_q directly (closing it on exit). The SDD worker pool
   /// never serves a fused stream (sdd_done is pre-set), so the done/close
-  /// handshake keeps exactly one closer. The counters below follow the
-  /// prefetch-thread contract above: relaxed Stream atomics surfaced as
-  /// gauges, keeping the loop free of instance coupling.
-  /// decode_full/decode_ms also move on the kFull path, so the decode
-  /// schema reads consistently across policies.
+  /// handshake keeps exactly one closer. decode_full/decode_ms also move on
+  /// the kFull path, so the decode schema reads consistently across
+  /// policies.
   bool fused_ingest = false;
   std::atomic<std::uint64_t> decode_full{0};
   std::atomic<std::uint64_t> decode_skipped{0};
@@ -180,10 +232,9 @@ struct FfsVaInstance::Stream {
   /// Hand-off support (DESIGN.md §15). `ingest_end` is the end_stream()
   /// cut: the prefetch loop treats it as end-of-source at its next
   /// iteration. `ingest_done` is set (once) when the prefetch loop exits.
-  /// `terminated` ticks exactly once per ingested frame, at the site where
-  /// the frame's outcome becomes durable (emitted / dropped / discarded /
-  /// poisoned / lost at ingest) — `ingest_done && terminated == prefetch_in`
-  /// is the quiescence predicate stream_quiesced() answers.
+  /// `terminated` ticks exactly once per ingested frame, in finish(), after
+  /// the frame's outcome is durable — `ingest_done && terminated ==
+  /// prefetch_in` is the quiescence predicate stream_quiesced() answers.
   std::atomic<bool> ingest_end{false};
   std::atomic<bool> ingest_done{false};
   std::atomic<std::uint64_t> terminated{0};
@@ -201,15 +252,13 @@ struct FfsVaInstance::Stream {
   /// prefetch join bounded (the thread is joined, never detached).
   runtime::InflightCall prefetch_call;
 
-  /// Per-stage frame counters as relaxed atomics so snapshot() can read
-  /// them while the stage threads run. Each is still written by one logical
-  /// owner at a time (SDD claim holder / GPU0 executor / reference thread);
-  /// the atomics buy mid-run readability, not write coordination. run()
-  /// freezes them into `stats` once the stage threads are joined.
-  std::atomic<std::uint64_t> sdd_in{0}, sdd_passed{0};
-  std::atomic<std::uint64_t> snm_in{0}, snm_passed{0};
-  std::atomic<std::uint64_t> tyolo_in{0}, tyolo_passed{0};
-  std::atomic<std::uint64_t> ref_in{0}, ref_passed{0};
+  /// Per-stage frame counters, indexed by StageId, as relaxed atomics so
+  /// snapshot() can read them while the stage threads run. Each is still
+  /// written by one logical owner at a time (SDD claim holder / GPU0
+  /// executor / reference thread); the atomics buy mid-run readability,
+  /// not write coordination.
+  std::atomic<std::uint64_t> in[kNumStages]{};
+  std::atomic<std::uint64_t> passed[kNumStages]{};
 
   /// Liveness of the source: busy only across source->next() — blocking on
   /// the SDD feedback queue is healthy backpressure and reads as idle.
@@ -225,20 +274,13 @@ struct FfsVaInstance::Stream {
   std::atomic<bool> sdd_claimed{false};
   std::atomic<bool> sdd_done{false};
 
-  /// Per-stage latency histograms. Each is written by exactly one logical
-  /// owner (SDD claim holder / GPU0 executor / reference thread) and merged
-  /// into stats.latency_ms after the stage threads are joined — stages on
-  /// different threads must not share one histogram.
-  runtime::Histogram lat_sdd;
-  runtime::Histogram lat_snm;
-  runtime::Histogram lat_tyolo;
-  runtime::Histogram lat_ref;
-  /// Ingest-to-drop latency of frames the reference stage dropped on error.
-  /// Separate from lat_ref so the reference-stage latency distribution
-  /// describes only frames the model actually evaluated and emitted; still
-  /// merged into stats.latency_ms (every ingested frame terminates exactly
-  /// once). Written by the reference thread only.
-  runtime::Histogram lat_drop;
+  /// Terminal latency by fate, kDropSdd..kEmit. Each is written by exactly
+  /// one logical owner (SDD claim holder or fused prefetch / GPU0 executor /
+  /// reference thread) and merged into StreamStats::latency_ms after the
+  /// stage threads are joined — stages on different threads must not share
+  /// one histogram. Reference-stage drops stay out of the emitted-frame
+  /// distribution; discards and ingest losses record none.
+  runtime::Histogram lat[static_cast<int>(Fate::kEmit) + 1];
 
   Stream(int id_, std::unique_ptr<video::FrameSource> src, detect::StreamModels m,
          const FfsVaConfig& cfg_)
@@ -250,6 +292,120 @@ struct FfsVaInstance::Stream {
                                                 cfg_.capacity(cfg_.sdd_queue_depth)))),
         snm_q(static_cast<std::size_t>(cfg_.capacity(cfg_.snm_queue_depth))),
         tyolo_q(static_cast<std::size_t>(cfg_.capacity(cfg_.tyolo_queue_depth))) {}
+
+  /// A frame enters stage `st`.
+  void enter(StageId st) {
+    in[st].fetch_add(1, std::memory_order_relaxed);
+    hot->in[st]->add();
+  }
+
+  /// Verdict for a frame whose model call failed (DESIGN.md Sections 9 and
+  /// 14). A cancelled call wedges the frame, and a second wedge poisons it:
+  /// dropped whatever the policy. Otherwise the frame is degraded and
+  /// follows degrade_policy — unless `may_bypass` is false (the reference
+  /// model, the last vetting stage, never passes an unvetted frame).
+  bool fault_verdict(Item& item, Call outcome, bool may_bypass) {
+    if (outcome == Call::kCancelled && ++item.wedges >= 2) {
+      poisoned.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    degraded.fetch_add(1, std::memory_order_relaxed);
+    return may_bypass && cfg.degrade_policy == DegradePolicy::kBypass;
+  }
+
+  /// The one place a frame's trip ends: counts the fate on the stream and
+  /// in the registry, records its latency, then ticks `terminated` — last,
+  /// so a quiesced stream's accounting (and, for kEmit, delivery) is final.
+  void finish(Fate fate, double ms) {
+    static_assert(static_cast<int>(Fate::kDropRef) == kRef);
+    const auto f = static_cast<std::size_t>(fate);
+    switch (fate) {
+      case Fate::kDropSdd:
+      case Fate::kDropSnm:
+      case Fate::kDropTyolo:
+        hot->drop[f]->add();
+        break;
+      case Fate::kDropRef:
+        hot->drop[f]->add();
+        hot->drop_latency_ms->record(ms);
+        break;
+      case Fate::kEmit:
+        passed[kRef].fetch_add(1, std::memory_order_relaxed);
+        hot->passed[kRef]->add();
+        hot->output_latency_ms->record(ms);
+        break;
+      case Fate::kDiscard:
+        discarded.fetch_add(1, std::memory_order_relaxed);
+        hot->drop_latency_ms->record(ms);
+        break;
+      case Fate::kIngestLoss:
+        dropped_ingest.fetch_add(1, std::memory_order_relaxed);
+        break;
+    }
+    if (fate <= Fate::kEmit) lat[f].add(ms);
+    terminated.fetch_add(1, std::memory_order_release);
+  }
+  void finish(Fate fate, const Item& item) { finish(fate, ms_since(item.ingest)); }
+
+  /// Ends a frame's visit to filter `st`: a dropped frame finishes here; a
+  /// survivor is counted as passed and handed to `push`, and is discarded
+  /// if that hand-off fails (the next queue closed under it). A failed push
+  /// moves only the frame out, so the ingest stamp stays readable. Returns
+  /// false only on that failed hand-off.
+  template <class Push>
+  bool route(StageId st, bool pass, Item& item, Push&& push) {
+    if (!pass) {
+      finish(static_cast<Fate>(st), item);
+      return true;
+    }
+    passed[st].fetch_add(1, std::memory_order_relaxed);
+    hot->passed[st]->add();
+    if (push(item)) return true;
+    finish(Fate::kDiscard, item);
+    return false;
+  }
+
+  /// Reads every counter into a snapshot row: mid-run approximate, exact
+  /// once the stage threads are joined.
+  StreamSnapshot read() const {
+    StreamSnapshot ss;
+    const auto ld = [](const std::atomic<std::uint64_t>& a) {
+      return a.load(std::memory_order_relaxed);
+    };
+    ss.id = id;
+    ss.terminated = ld(terminated);
+    ss.ingest_done = ingest_done.load(std::memory_order_acquire);
+    ss.prefetch_in = ld(prefetch_in);
+    ss.prefetch_passed = ld(prefetch_passed);
+    ss.dropped_at_ingest = ld(dropped_ingest);
+    ss.sdd_in = ld(in[kSdd]);
+    ss.sdd_passed = ld(passed[kSdd]);
+    ss.snm_in = ld(in[kSnm]);
+    ss.snm_passed = ld(passed[kSnm]);
+    ss.tyolo_in = ld(in[kTyolo]);
+    ss.tyolo_passed = ld(passed[kTyolo]);
+    ss.ref_in = ld(in[kRef]);
+    ss.ref_passed = ld(passed[kRef]);
+    ss.sdd_queue_depth = sdd_q.depth();
+    ss.snm_queue_depth = snm_q.depth();
+    ss.tyolo_queue_depth = tyolo_q.depth();
+    ss.decode_full = ld(decode_full);
+    ss.decode_skipped = ld(decode_skipped);
+    ss.hint_passes = ld(hint_passes);
+    ss.hint_fallbacks = ld(hint_fallbacks);
+    if (const auto cs = source->codec_stats()) {
+      ss.compression_ratio = cs->compression_ratio();
+    }
+    ss.fault.decode_errors = ld(decode_errors);
+    ss.fault.retries = ld(retries);
+    ss.fault.restarts = ld(restarts);
+    ss.fault.degraded_frames = ld(degraded);
+    ss.fault.discarded_frames = ld(discarded);
+    ss.fault.cancelled_calls = ld(cancels);
+    ss.fault.poisoned_frames = ld(poisoned);
+    ss.fault.quarantined = quarantined.load(std::memory_order_acquire);
+    return ss;
+  }
 };
 
 struct FfsVaInstance::TYoloShared {
@@ -271,6 +427,7 @@ int FfsVaInstance::add_stream(std::unique_ptr<video::FrameSource> source,
   const int id = nstreams_.load(std::memory_order_relaxed);
   auto s = std::make_shared<Stream>(id, std::move(source), std::move(models),
                                     config_);
+  s->hot = &hot_;
   s->stop = stop_;
   if (!run_called_.load(std::memory_order_acquire)) {
     // Classic pre-run registration: single caller, no stage threads yet.
@@ -372,18 +529,13 @@ bool FfsVaInstance::export_trace(const std::string& path) const {
 }
 
 void FfsVaInstance::wire_metrics() {
-  hot_.sdd_in = &metrics_.counter("sdd.in");
-  hot_.sdd_passed = &metrics_.counter("sdd.passed");
-  hot_.snm_in = &metrics_.counter("snm.in");
-  hot_.snm_passed = &metrics_.counter("snm.passed");
-  hot_.tyolo_in = &metrics_.counter("tyolo.in");
-  hot_.tyolo_passed = &metrics_.counter("tyolo.passed");
-  hot_.ref_in = &metrics_.counter("ref.in");
-  hot_.ref_passed = &metrics_.counter("ref.passed");
-  hot_.drop_sdd = &metrics_.counter("drop.sdd");
-  hot_.drop_snm = &metrics_.counter("drop.snm");
-  hot_.drop_tyolo = &metrics_.counter("drop.tyolo");
-  hot_.drop_ref = &metrics_.counter("drop.ref");
+  static constexpr const char* kStageNames[kNumStages] = {"sdd", "snm", "tyolo", "ref"};
+  for (int st = 0; st < kNumStages; ++st) {
+    const std::string name = kStageNames[st];
+    hot_.in[st] = &metrics_.counter(name + ".in");
+    hot_.passed[st] = &metrics_.counter(name + ".passed");
+    hot_.drop[st] = &metrics_.counter("drop." + name);
+  }
   hot_.snm_batches = &metrics_.counter("executor.snm_batches");
   hot_.tyolo_picks = &metrics_.counter("executor.tyolo_picks");
   hot_.batch_size = &metrics_.histogram("executor.batch_size");
@@ -398,9 +550,9 @@ void FfsVaInstance::wire_metrics() {
   hot_.drop_latency_ms = &metrics_.histogram("latency.drop_ms");
   hot_.recovery_ms = &metrics_.histogram("latency.recovery_ms");
 
-  // Prefetch/fault/supervision state lives in Stream and instance atomics
-  // (single-writer cells the prefetch loop and watchdog tick without
-  // touching the registry), surfaced as gauges polled at snapshot time.
+  // Ingest/fault/supervision state with no registry counter lives in Stream
+  // and instance atomics (single-writer cells the prefetch loop and the
+  // watchdog tick), surfaced as gauges polled at snapshot time.
   // Every gauge below scans the stream slots bounded by num_streams(), not
   // the vector's size: the count is the release/acquire publication point
   // for dynamically added streams (see the streams_ member comment).
@@ -466,9 +618,7 @@ void FfsVaInstance::wire_metrics() {
   metrics_.gauge("supervision.stage_restarts", [this] {
     return static_cast<double>(stage_restarts_.load(std::memory_order_relaxed));
   });
-  metrics_.gauge("supervision.poisoned_frames", [this] {
-    return static_cast<double>(poisoned_frames_.load(std::memory_order_relaxed));
-  });
+  metrics_.gauge("supervision.poisoned_frames", sum(&Stream::poisoned));
   const auto depth_sum = [this](runtime::BoundedQueue<Item> Stream::* q) {
     return [this, q]() {
       std::size_t total = 0;
@@ -496,67 +646,34 @@ InstanceSnapshot FfsVaInstance::snapshot() const {
                          .count();
     snap.t_sec = static_cast<double>(now - t0) * 1e-9;
   }
+  HealthSummary& h = snap.health;
   const int n = num_streams();
   snap.streams.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const Stream& s = *streams_[static_cast<std::size_t>(i)];
-    StreamSnapshot ss;
-    ss.id = s.id;
-    ss.terminated = s.terminated.load(std::memory_order_relaxed);
-    ss.ingest_done = s.ingest_done.load(std::memory_order_acquire);
-    ss.prefetch_in = s.prefetch_in.load(std::memory_order_relaxed);
-    ss.prefetch_passed = s.prefetch_passed.load(std::memory_order_relaxed);
-    ss.dropped_at_ingest = s.dropped_ingest.load(std::memory_order_relaxed);
-    ss.sdd_in = s.sdd_in.load(std::memory_order_relaxed);
-    ss.sdd_passed = s.sdd_passed.load(std::memory_order_relaxed);
-    ss.snm_in = s.snm_in.load(std::memory_order_relaxed);
-    ss.snm_passed = s.snm_passed.load(std::memory_order_relaxed);
-    ss.tyolo_in = s.tyolo_in.load(std::memory_order_relaxed);
-    ss.tyolo_passed = s.tyolo_passed.load(std::memory_order_relaxed);
-    ss.ref_in = s.ref_in.load(std::memory_order_relaxed);
-    ss.ref_passed = s.ref_passed.load(std::memory_order_relaxed);
-    ss.sdd_queue_depth = s.sdd_q.depth();
-    ss.snm_queue_depth = s.snm_q.depth();
-    ss.tyolo_queue_depth = s.tyolo_q.depth();
-    ss.decode_full = s.decode_full.load(std::memory_order_relaxed);
-    ss.decode_skipped = s.decode_skipped.load(std::memory_order_relaxed);
-    ss.hint_passes = s.hint_passes.load(std::memory_order_relaxed);
-    ss.hint_fallbacks = s.hint_fallbacks.load(std::memory_order_relaxed);
-    if (const auto cs = s.source->codec_stats()) {
-      ss.compression_ratio = cs->compression_ratio();
-    }
-    ss.fault.decode_errors = s.decode_errors.load(std::memory_order_relaxed);
-    ss.fault.retries = s.retries.load(std::memory_order_relaxed);
-    ss.fault.restarts = s.restarts.load(std::memory_order_relaxed);
-    ss.fault.degraded_frames = s.degraded.load(std::memory_order_relaxed);
-    ss.fault.discarded_frames = s.discarded.load(std::memory_order_relaxed);
-    ss.fault.cancelled_calls = s.cancels.load(std::memory_order_relaxed);
-    ss.fault.poisoned_frames = s.poisoned.load(std::memory_order_relaxed);
-    ss.fault.quarantined = s.quarantined.load(std::memory_order_acquire);
-
-    if (ss.fault.quarantined) {
-      ++snap.health.quarantined_streams;
-    } else if (ss.fault.any()) {
-      ++snap.health.degraded_streams;
+    StreamSnapshot ss = streams_[static_cast<std::size_t>(i)]->read();
+    const FaultStats& f = ss.fault;
+    if (f.quarantined) {
+      ++h.quarantined_streams;
+    } else if (f.any()) {
+      ++h.degraded_streams;
     } else {
-      ++snap.health.healthy_streams;
+      ++h.healthy_streams;
     }
-    snap.health.decode_errors += ss.fault.decode_errors;
-    snap.health.retries += ss.fault.retries;
-    snap.health.restarts += ss.fault.restarts;
-    snap.health.degraded_frames += ss.fault.degraded_frames;
-    snap.health.discarded_frames += ss.fault.discarded_frames;
+    h.decode_errors += f.decode_errors;
+    h.retries += f.retries;
+    h.restarts += f.restarts;
+    h.degraded_frames += f.degraded_frames;
+    h.discarded_frames += f.discarded_frames;
+    h.poisoned_frames += f.poisoned_frames;
+    snap.outputs += ss.ref_passed;
     snap.streams.push_back(std::move(ss));
   }
   snap.ref_queue_depth = tyolo_shared_->ref_q.depth();
-  snap.outputs = outputs_count_.load(std::memory_order_relaxed);
-  snap.health.cancels = cancels_.load(std::memory_order_relaxed);
-  snap.health.stage_restarts = stage_restarts_.load(std::memory_order_relaxed);
-  snap.health.poisoned_frames = poisoned_frames_.load(std::memory_order_relaxed);
-  snap.health.stage_stall_ticks =
-      stage_stall_ticks_.load(std::memory_order_relaxed);
-  snap.health.stopped = stop_.stop_requested();
-  snap.health.deadline_hit = deadline_hit_.load(std::memory_order_relaxed);
+  h.cancels = cancels_.load(std::memory_order_relaxed);
+  h.stage_restarts = stage_restarts_.load(std::memory_order_relaxed);
+  h.stage_stall_ticks = stage_stall_ticks_.load(std::memory_order_relaxed);
+  h.stopped = stop_.stop_requested();
+  h.deadline_hit = deadline_hit_.load(std::memory_order_relaxed);
   return snap;
 }
 
@@ -604,7 +721,7 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
   std::optional<detect::CompressedSdd> csdd;
   if (s->fused_ingest) {
     csdd.emplace(s->models.sdd->config().metric,
-                 s->models.sdd->config().delta_diff, cfg.sdd_hint_relax);
+                 s->models.sdd->config().delta_diff, kSddHintRelax);
   }
 
   const auto aborted = [&s] {
@@ -614,16 +731,10 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
            s->quarantined.load(std::memory_order_acquire) ||
            s->ingest_end.load(std::memory_order_acquire);
   };
-  // Exponential backoff, sliced so stop/quarantine aborts it promptly.
-  const auto backoff = [&](int attempt) {
-    std::int64_t ms = static_cast<std::int64_t>(std::max(0, cfg.source_backoff_ms))
-                      << std::min(attempt, 20);
-    ms = std::min<std::int64_t>(ms, 100);
-    const auto until = Clock::now() + std::chrono::milliseconds(ms);
-    while (Clock::now() < until && !aborted()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  };
+  // Blocking push: the SNM feedback-queue threshold throttles ingest
+  // directly — with SDD fused into prefetch, this IS the feedback edge the
+  // paper's bounded queues implement.
+  const auto to_snm = [&s](Item& it) { return s->snm_q.push(std::move(it)); };
 
   int consecutive_retries = 0;
   int restarts_used = 0;
@@ -644,71 +755,57 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
         s->decode_skipped.fetch_add(1, std::memory_order_relaxed);
         s->prefetch_in.fetch_add(1, std::memory_order_relaxed);
         s->prefetch_passed.fetch_add(1, std::memory_order_relaxed);
-        s->sdd_in.fetch_add(1, std::memory_order_relaxed);
+        s->enter(kSdd);
         const double ms = ms_since(t0);
         s->decode_ms.record(ms);
-        s->lat_sdd.add(ms);
-        s->terminated.fetch_add(1, std::memory_order_release);
+        s->finish(Fate::kDropSdd, ms);
         continue;
       }
     }
     std::optional<video::Frame> f;
+    bool source_error = false;
+    bool transient = false;
     const auto decode_t0 = Clock::now();
-    try {
-      s->hb.busy();  // a hung decode is what the watchdog must see
-      {
-        // Spans go to the process-global buffer, never the instance: the
-        // prefetch loop touches only its Stream (see prefetch_loop's decl).
-        telemetry::ScopedSpan sp(
-            trace(), "decode", telemetry::Stage::kPrefetch, s->id,
-            static_cast<std::int64_t>(
-                s->prefetch_in.load(std::memory_order_relaxed)));
-        // Register the decode as this stream's in-flight call so the
-        // watchdog can cancel it if it wedges (model_call_timeout_ms, or
-        // unconditionally at quarantine to keep the join bounded).
-        runtime::ModelCallGuard guard(
-            s->prefetch_call, s->id,
-            static_cast<std::int64_t>(
-                s->prefetch_in.load(std::memory_order_relaxed)));
+    const auto frame_no =
+        static_cast<std::int64_t>(s->prefetch_in.load(std::memory_order_relaxed));
+    // A hung decode is what the watchdog must see; it may cancel the call
+    // (model_call_timeout_ms, or unconditionally at quarantine to keep the
+    // join bounded). Spans go to the process-global buffer, never the
+    // instance.
+    const auto read = [&] {
+      telemetry::ScopedSpan sp(trace(), "decode", telemetry::Stage::kPrefetch, s->id,
+                               frame_no);
+      try {
         f = s->source->next();
+      } catch (const video::SourceError& e) {
+        source_error = true;
+        transient = e.transient();
+        throw;
       }
-      s->hb.idle();
-    } catch (const runtime::CancelledError&) {
-      // The watchdog cancelled a wedged decode. Quarantine means the stream
-      // is already being torn down — just exit. Otherwise escalate like a
-      // non-transient decode fault: restart the source under the restart
-      // budget, and past it end the stream. (The cancel itself was counted
-      // by the watchdog that issued it.)
-      s->hb.idle();
-      if (aborted()) break;
+    };
+    const Call decoded = guarded_call(&s->hb, s->prefetch_call, s->id, frame_no, read);
+    if (decoded != Call::kOk) {
+      // A cancelled decode under quarantine means the stream is already
+      // being torn down — just exit (the watchdog counted the cancel).
+      if (decoded == Call::kCancelled && aborted()) break;
       s->decode_errors.fetch_add(1, std::memory_order_relaxed);
-      if (restarts_used < cfg.source_max_restarts && s->source->restart()) {
-        s->restarts.fetch_add(1, std::memory_order_relaxed);
-        backoff(restarts_used++);
-        consecutive_retries = 0;
-        continue;
-      }
-      break;
-    } catch (const video::SourceError& e) {
-      s->hb.idle();
-      s->decode_errors.fetch_add(1, std::memory_order_relaxed);
-      if (e.transient() && consecutive_retries < cfg.source_max_retries) {
+      if (transient && consecutive_retries < cfg.source_max_retries) {
         // Transient contract (video/source.hpp): the source position is
         // unchanged, so retrying resumes with zero frame loss.
         s->retries.fetch_add(1, std::memory_order_relaxed);
-        backoff(consecutive_retries++);
+        sliced_backoff(consecutive_retries++, aborted);
         continue;
       }
-      if (restarts_used < cfg.source_max_restarts && s->source->restart()) {
+      // A fatal SourceError or a cancelled decode escalates to a source
+      // restart under the budget; anything else (or past the budget) ends
+      // this stream, and downstream drains normally.
+      if ((source_error || decoded == Call::kCancelled) &&
+          restarts_used < kSourceMaxRestarts && s->source->restart()) {
         s->restarts.fetch_add(1, std::memory_order_relaxed);
-        backoff(restarts_used++);
+        sliced_backoff(restarts_used++, aborted);
         consecutive_retries = 0;
         continue;
       }
-      break;  // unrecoverable: end this stream; downstream drains normally
-    } catch (...) {
-      s->hb.idle();
-      s->decode_errors.fetch_add(1, std::memory_order_relaxed);
       break;
     }
     if (!f) break;  // normal end of stream
@@ -721,52 +818,30 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
       // Fused SDD stage: the hint either decided kPass outright or fell
       // back to the pixel SDD, whose distance re-anchors the chain. The
       // frame was ingested either way; survivors go straight to snm_q.
-      s->sdd_in.fetch_add(1, std::memory_order_relaxed);
+      s->enter(kSdd);
       bool pass = true;
       if (hint_decision == detect::HintDecision::kPass) {
         s->hint_passes.fetch_add(1, std::memory_order_relaxed);
       } else {
         s->hint_fallbacks.fetch_add(1, std::memory_order_relaxed);
-        try {
+        double dist = 0.0;
+        const auto measure = [&] {
           telemetry::ScopedSpan sp(trace(), "sdd.filter", telemetry::Stage::kSdd,
                                    s->id, item.frame.index);
-          runtime::ModelCallGuard guard(s->prefetch_call, s->id,
-                                        item.frame.index);
-          const double dist = s->models.sdd->distance(item.frame.image);
+          dist = s->models.sdd->distance(item.frame.image);
+        };
+        const Call c =
+            guarded_call(nullptr, s->prefetch_call, s->id, item.frame.index, measure);
+        if (c == Call::kOk) {
           csdd->anchor(dist);
           pass = dist > s->models.sdd->config().delta_diff;
-        } catch (const runtime::CancelledError&) {
-          // A wedged fused pixel-SDD the watchdog cancelled: same per-frame
-          // degrade contract as a throwing SDD, plus the wedge mark — the
-          // frame is poisoned if it wedges a second stage downstream.
+        } else {
+          // An unmeasured frame leaves the chain unanchored.
           csdd->invalidate();
-          ++item.wedges;
-          s->degraded.fetch_add(1, std::memory_order_relaxed);
-          pass = cfg.degrade_policy == DegradePolicy::kBypass;
-        } catch (...) {
-          // Same per-frame degrade contract as the SDD worker pool; an
-          // unmeasured frame leaves the chain unanchored.
-          csdd->invalidate();
-          s->degraded.fetch_add(1, std::memory_order_relaxed);
-          pass = cfg.degrade_policy == DegradePolicy::kBypass;
+          pass = s->fault_verdict(item, c, /*may_bypass=*/true);
         }
       }
-      if (pass) {
-        s->sdd_passed.fetch_add(1, std::memory_order_relaxed);
-        // Blocking push: the SNM feedback-queue threshold throttles ingest
-        // directly — with SDD fused into prefetch, this IS the feedback
-        // edge the paper's bounded queues implement.
-        if (!s->snm_q.push(std::move(item))) {
-          // Closed under us (stop/quarantine) — same accounting as the
-          // SDD worker's failed handoff.
-          s->discarded.fetch_add(1, std::memory_order_relaxed);
-          s->terminated.fetch_add(1, std::memory_order_release);
-          break;
-        }
-      } else {
-        s->lat_sdd.add(ms_since(item.ingest));
-        s->terminated.fetch_add(1, std::memory_order_release);
-      }
+      if (!s->route(kSdd, pass, item, to_snm)) break;  // closed: stop/quarantine
       s->prefetch_passed.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
@@ -778,22 +853,17 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
       if (!s->sdd_q.push_for(std::move(item), frame_interval)) {
         if (s->sdd_q.closed()) {
           // stop()/quarantine closed it under us; the ingested frame is lost.
-          s->discarded.fetch_add(1, std::memory_order_relaxed);
-          s->terminated.fetch_add(1, std::memory_order_release);
+          s->finish(Fate::kDiscard, item);
           break;
         }
-        s->dropped_ingest.fetch_add(1, std::memory_order_relaxed);
-        s->terminated.fetch_add(1, std::memory_order_release);
+        s->finish(Fate::kIngestLoss, item);
         continue;
       }
-    } else {
-      if (!s->sdd_q.push(std::move(item))) {
-        // Queue closed underneath us (stop/quarantine): the frame was
-        // already counted into prefetch_in, so it must terminate here.
-        s->discarded.fetch_add(1, std::memory_order_relaxed);
-        s->terminated.fetch_add(1, std::memory_order_release);
-        break;
-      }
+    } else if (!s->sdd_q.push(std::move(item))) {
+      // Queue closed underneath us (stop/quarantine): the frame was already
+      // counted into prefetch_in, so it must terminate here.
+      s->finish(Fate::kDiscard, item);
+      break;
     }
     s->prefetch_passed.fetch_add(1, std::memory_order_relaxed);
   }
@@ -808,21 +878,16 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
   s->ingest_done.store(true, std::memory_order_release);
 }
 
-void FfsVaInstance::sdd_worker_entry(int worker) {
-  int restarts = 0;
-  for (;;) {
-    if (sdd_worker_loop(worker, restarts < config_.stage_max_restarts)) return;
-    // A watchdog cancel unwound this worker mid-call. Re-enter after a
-    // bounded backoff; the time from the cancel to serving again is the
-    // recovery latency.
-    ++restarts;
+void FfsVaInstance::run_stage(runtime::InflightCall& call,
+                              const std::function<bool(bool)>& loop) {
+  for (int restarts = 0; !loop(restarts < kStageMaxRestarts);) {
+    // A watchdog cancel unwound the loop mid-call, every popped frame
+    // already accounted. Re-enter after a bounded backoff; the time from
+    // the cancel to serving again is the recovery latency.
     stage_restarts_.fetch_add(1, std::memory_order_relaxed);
-    stage_backoff(restarts);
-    const std::int64_t cancelled_at =
-        sdd_call_[static_cast<std::size_t>(worker)].cancelled_at_ms();
-    if (cancelled_at >= 0) {
-      hot_.recovery_ms->record(
-          static_cast<double>(runtime::steady_now_ms() - cancelled_at));
+    sliced_backoff(++restarts, [this] { return stop_.stop_requested(); });
+    if (const std::int64_t at = call.cancelled_at_ms(); at >= 0) {
+      hot_.recovery_ms->record(static_cast<double>(runtime::steady_now_ms() - at));
     }
   }
 }
@@ -849,6 +914,9 @@ bool FfsVaInstance::sdd_worker_loop(int worker, bool allow_restart) {
       if (s.sdd_claimed.exchange(true, std::memory_order_acq_rel)) {
         continue;  // another worker is serving this stream
       }
+      // Blocking push: the SNM feedback-queue threshold throttles this
+      // worker (other workers keep serving other streams meanwhile).
+      const auto to_snm = [&s](Item& it) { return s.snm_q.push(std::move(it)); };
       int processed = 0;
       bool restart_requested = false;
       while (processed < run_length) {
@@ -869,62 +937,24 @@ bool FfsVaInstance::sdd_worker_loop(int worker, bool allow_restart) {
         if (s.quarantined.load(std::memory_order_acquire)) {
           // Drain-and-discard: the watchdog closed this stream's queues;
           // its in-flight frames are dumped, not processed.
-          s.discarded.fetch_add(1, std::memory_order_relaxed);
-          s.terminated.fetch_add(1, std::memory_order_release);
+          s.finish(Fate::kDiscard, *item);
           continue;
         }
-        s.sdd_in.fetch_add(1, std::memory_order_relaxed);
-        hot_.sdd_in->add();
-        bool pass;
-        bool cancelled = false;
-        try {
-          hb.busy();
-          telemetry::ScopedSpan sp(trace(), "sdd.filter", telemetry::Stage::kSdd,
-                                   s.id, item->frame.index);
-          runtime::ModelCallGuard guard(call, s.id, item->frame.index);
+        s.enter(kSdd);
+        bool pass = false;
+        const auto filter = [&] {
+          telemetry::ScopedSpan sp(trace(), "sdd.filter", telemetry::Stage::kSdd, s.id,
+                                   item->frame.index);
           pass = s.models.sdd->pass(item->frame.image);
-          hb.idle();
-        } catch (const runtime::CancelledError&) {
-          // The watchdog cancelled this call (it overran
-          // model_call_timeout_ms). First wedge: the frame follows the
-          // degrade policy like any per-frame model fault. Second wedge:
-          // the frame is poisoned and dropped regardless of policy.
-          hb.idle();
-          cancelled = true;
-          ++item->wedges;
-          if (item->wedges >= 2) {
-            s.poisoned.fetch_add(1, std::memory_order_relaxed);
-            poisoned_frames_.fetch_add(1, std::memory_order_relaxed);
-            pass = false;
-          } else {
-            s.degraded.fetch_add(1, std::memory_order_relaxed);
-            pass = config_.degrade_policy == DegradePolicy::kBypass;
-          }
-        } catch (...) {
-          hb.idle();
-          // Degrade per frame, never per stream: drop terminates the frame
-          // here (latency still recorded below); bypass rides it to SNM.
-          s.degraded.fetch_add(1, std::memory_order_relaxed);
-          pass = config_.degrade_policy == DegradePolicy::kBypass;
-        }
-        if (pass) {
-          s.sdd_passed.fetch_add(1, std::memory_order_relaxed);
-          hot_.sdd_passed->add();
-          // Blocking push: the SNM feedback-queue threshold throttles this
-          // worker (other workers keep serving other streams meanwhile).
-          if (!s.snm_q.push(std::move(*item))) {
-            s.discarded.fetch_add(1, std::memory_order_relaxed);
-            s.terminated.fetch_add(1, std::memory_order_release);
-            break;  // closed by quarantine
-          }
-        } else {
-          hot_.drop_sdd->add();
-          s.lat_sdd.add(ms_since(item->ingest));
-          s.terminated.fetch_add(1, std::memory_order_release);
-        }
-        if (cancelled && allow_restart) {
-          // The frame is fully accounted (routed or dropped above); now
-          // restart this worker under the stage budget.
+        };
+        const Call c = guarded_call(&hb, call, s.id, item->frame.index, filter);
+        // Degrade per frame, never per stream: drop terminates the frame
+        // here; bypass rides it to SNM.
+        if (c != Call::kOk) pass = s.fault_verdict(*item, c, /*may_bypass=*/true);
+        if (!s.route(kSdd, pass, *item, to_snm)) break;  // closed by quarantine
+        if (c == Call::kCancelled && allow_restart) {
+          // The frame is fully accounted; now restart this worker under the
+          // stage budget.
           restart_requested = true;
           break;
         }
@@ -949,27 +979,6 @@ bool FfsVaInstance::sdd_worker_loop(int worker, bool allow_restart) {
   }
 }
 
-void FfsVaInstance::gpu0_entry() {
-  int restarts = 0;
-  for (;;) {
-    if (gpu0_loop(restarts < config_.stage_max_restarts)) break;
-    // A watchdog cancel unwound the executor. Every popped frame was
-    // accounted before the loop returned, so re-entry resumes cleanly from
-    // the queues.
-    ++restarts;
-    stage_restarts_.fetch_add(1, std::memory_order_relaxed);
-    stage_backoff(restarts);
-    const std::int64_t cancelled_at = gpu0_call_.cancelled_at_ms();
-    if (cancelled_at >= 0) {
-      hot_.recovery_ms->record(
-          static_cast<double>(runtime::steady_now_ms() - cancelled_at));
-    }
-  }
-  // Single exit: the reference stage always sees end-of-stream, whatever
-  // path brought the executor down — and never before its final restart.
-  tyolo_shared_->ref_q.close();
-}
-
 bool FfsVaInstance::gpu0_loop(bool allow_restart) {
   TYoloScheduler scheduler(config_.num_tyolo);
   const DynamicBatcher batcher(config_.batch_policy, config_.batch_size,
@@ -984,20 +993,6 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
   items.reserve(static_cast<std::size_t>(std::max(1, config_.batch_size)));
   bool running = true;
   bool restart_requested = false;
-
-  // Per-frame wedge bookkeeping shared by the T-YOLO and SNM catch sites:
-  // first wedge follows the degrade policy, second wedge poisons the frame
-  // (dropped regardless of policy). Returns the frame's pass verdict.
-  const auto wedge_verdict = [&](Stream& s, Item& item) {
-    ++item.wedges;
-    if (item.wedges >= 2) {
-      s.poisoned.fetch_add(1, std::memory_order_relaxed);
-      poisoned_frames_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    s.degraded.fetch_add(1, std::memory_order_relaxed);
-    return config_.degrade_policy == DegradePolicy::kBypass;
-  };
 
   // One T-YOLO service pick: up to num_tyolo frames from the next non-empty
   // stream in round-robin order (Section 3.2.3). Executed directly — this
@@ -1014,65 +1009,36 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
     Stream& s = *streams_[static_cast<std::size_t>(pick.stream)];
     int served = 0;
     bool progressed = false;
-    telemetry::ScopedSpan span(trace(), "tyolo.batch", telemetry::Stage::kTyolo,
-                               s.id);
+    const double conf = s.models.tyolo->config().confidence_threshold;
+    telemetry::ScopedSpan span(trace(), "tyolo.batch", telemetry::Stage::kTyolo, s.id);
     for (int k = 0; k < pick.take && running; ++k) {
       auto item = s.tyolo_q.try_pop();
       if (!item) break;
       progressed = true;
       if (s.quarantined.load(std::memory_order_acquire)) {
-        s.discarded.fetch_add(1, std::memory_order_relaxed);
-        s.terminated.fetch_add(1, std::memory_order_release);
+        s.finish(Fate::kDiscard, *item);
         continue;  // drain, but don't run the model or feed admission
       }
-      s.tyolo_in.fetch_add(1, std::memory_order_relaxed);
-      hot_.tyolo_in->add();
+      s.enter(kTyolo);
       // Keep the detections, not just the verdict: the boxes are the
       // candidate regions the reference stage consolidates under
-      // RefMode::kCropPack. pass() is detect() + this count, so the
-      // predicate is unchanged.
-      bool pass;
+      // RefMode::kCropPack (a frame that was never detected carries none).
       detect::DetectionResult det;
-      bool have_det = false;
-      bool cancelled = false;
-      try {
-        gpu0_hb_.busy();
-        runtime::ModelCallGuard guard(gpu0_call_, s.id, item->frame.index);
+      bool pass = false;
+      const auto detect = [&] {
         det = s.models.tyolo->detect(item->frame.image);
-        gpu0_hb_.idle();
-        pass = det.count_target(s.models.target,
-                                s.models.tyolo->config().confidence_threshold) >=
-               config_.number_of_objects;
-        have_det = true;
-      } catch (const runtime::CancelledError&) {
-        gpu0_hb_.idle();
-        cancelled = true;
-        pass = wedge_verdict(s, *item);
-      } catch (...) {
-        gpu0_hb_.idle();
-        s.degraded.fetch_add(1, std::memory_order_relaxed);
-        pass = config_.degrade_policy == DegradePolicy::kBypass;
-      }
+        pass = det.count_target(s.models.target, conf) >= config_.number_of_objects;
+      };
+      const Call c =
+          guarded_call(&gpu0_hb_, gpu0_call_, s.id, item->frame.index, detect);
+      if (c != Call::kOk) pass = s.fault_verdict(*item, c, /*may_bypass=*/true);
       ++served;
-      if (pass) {
-        s.tyolo_passed.fetch_add(1, std::memory_order_relaxed);
-        hot_.tyolo_passed->add();
-        auto candidates =
-            have_det ? det.boxes() : std::vector<image::Box>{};
-        if (!tyolo_shared_->ref_q.push(
-                {s.id, std::move(*item), std::move(candidates)})) {
-          // ref_q closed underneath us (shutdown): the popped frame cannot
-          // reach the reference stage, so it terminates here.
-          s.discarded.fetch_add(1, std::memory_order_relaxed);
-          s.terminated.fetch_add(1, std::memory_order_release);
-          running = false;
-        }
-      } else {
-        hot_.drop_tyolo->add();
-        s.lat_tyolo.add(ms_since(item->ingest));
-        s.terminated.fetch_add(1, std::memory_order_release);
-      }
-      if (cancelled && allow_restart) {
+      const auto to_ref = [&](Item& it) {
+        return tyolo_shared_->ref_q.push({s.id, std::move(it), det.boxes()});
+      };
+      // A failed push means ref_q closed underneath us (shutdown).
+      if (!s.route(kTyolo, pass, *item, to_ref)) running = false;
+      if (c == Call::kCancelled && allow_restart) {
         // The frame is accounted; stop picking and let the cycle end so the
         // executor restarts with no frame in hand.
         restart_requested = true;
@@ -1088,6 +1054,20 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
       tyolo_shared_->admission.on_tyolo_served(now, served);
     }
     return progressed;
+  };
+
+  // The executor is also the T-YOLO service, so it must never block on a
+  // full T-YOLO queue (it would deadlock against itself): a full queue
+  // flips GPU0 over to T-YOLO work until space opens — the feedback-queue
+  // throttle expressed as device interleaving. The executor is the only
+  // thread touching T-YOLO queues, so the depth check is exact and the push
+  // fails only when quarantine closed the queue (or shutdown stopped us).
+  const auto to_tyolo = [&](Stream& s, Item& item) {
+    while (running && s.tyolo_q.depth() >= s.tyolo_q.capacity() &&
+           !s.tyolo_q.closed()) {
+      serve_tyolo();
+    }
+    return running && s.tyolo_q.push(std::move(item));
   };
 
   while (running) {
@@ -1107,13 +1087,11 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
       if (s.quarantined.load(std::memory_order_acquire)) {
         // Drain-and-discard both device queues of a quarantined stream.
         // The watchdog closed them, so once empty they stay empty.
-        std::uint64_t dumped = 0;
-        while (s.snm_q.try_pop()) ++dumped;
-        while (s.tyolo_q.try_pop()) ++dumped;
-        if (dumped > 0) {
-          s.discarded.fetch_add(dumped, std::memory_order_relaxed);
-          s.terminated.fetch_add(dumped, std::memory_order_release);
-          did_work = true;
+        for (auto* q : {&s.snm_q, &s.tyolo_q}) {
+          while (auto item = q->try_pop()) {
+            s.finish(Fate::kDiscard, *item);
+            did_work = true;
+          }
         }
         if (s.snm_q.closed() && s.snm_q.depth() == 0) {
           snm_done[i] = 1;
@@ -1144,66 +1122,26 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
       hot_.snm_batches->add();
       hot_.batch_size->record(static_cast<double>(items.size()));
       std::vector<double> scores;
-      bool batch_degraded = false;
-      bool batch_cancelled = false;
-      try {
-        gpu0_hb_.busy();
-        telemetry::ScopedSpan sp(trace(), "snm.batch", telemetry::Stage::kSnm,
-                                 s.id, -1, static_cast<int>(items.size()));
-        runtime::ModelCallGuard guard(gpu0_call_, s.id,
-                                      items.front().frame.index);
+      const auto predict = [&] {
+        telemetry::ScopedSpan sp(trace(), "snm.batch", telemetry::Stage::kSnm, s.id, -1,
+                                 static_cast<int>(items.size()));
         scores = s.models.snm->predict_batch(imgs);
-        gpu0_hb_.idle();
-      } catch (const runtime::CancelledError&) {
-        // A wedged batch the watchdog cancelled: every popped frame still
-        // gets a per-frame wedge verdict below (conservation holds), then
-        // the executor restarts under the stage budget.
-        gpu0_hb_.idle();
-        batch_cancelled = true;
-        if (allow_restart) restart_requested = true;
-      } catch (...) {
-        gpu0_hb_.idle();
-        // The device call is batched, so one unevaluable frame degrades the
-        // whole sub-batch: every frame in it follows the degrade policy.
-        batch_degraded = true;
-        s.degraded.fetch_add(items.size(), std::memory_order_relaxed);
-      }
+      };
+      const Call c =
+          guarded_call(&gpu0_hb_, gpu0_call_, s.id, items.front().frame.index, predict);
+      // The device call is batched, so a failure fails every frame in it:
+      // each gets its own per-frame fault verdict below (conservation
+      // holds); a cancel then restarts the executor under the stage budget.
+      if (c == Call::kCancelled && allow_restart) restart_requested = true;
       const double t_pre = s.models.snm->t_pre();
       // Every popped frame is accounted, even when `running` flips false
       // mid-batch (ref_q closed at shutdown): a frame that can no longer be
       // routed terminates as discarded rather than vanishing.
       for (std::size_t j = 0; j < items.size(); ++j) {
-        s.snm_in.fetch_add(1, std::memory_order_relaxed);
-        hot_.snm_in->add();
-        const bool pass =
-            batch_cancelled
-                ? wedge_verdict(s, items[j])
-                : (batch_degraded
-                       ? config_.degrade_policy == DegradePolicy::kBypass
-                       : scores[j] >= t_pre);
-        if (pass) {
-          s.snm_passed.fetch_add(1, std::memory_order_relaxed);
-          hot_.snm_passed->add();
-          // The executor is also the T-YOLO service, so it must never block
-          // on a full T-YOLO queue (it would deadlock against itself): a
-          // full queue flips GPU0 over to T-YOLO work until space opens —
-          // the feedback-queue throttle expressed as device interleaving.
-          // The executor is the only thread touching T-YOLO queues, so the
-          // depth check is exact and the push below fails only when
-          // quarantine closed the queue mid-batch.
-          while (running && s.tyolo_q.depth() >= s.tyolo_q.capacity() &&
-                 !s.tyolo_q.closed()) {
-            serve_tyolo();
-          }
-          if (!running || !s.tyolo_q.push(std::move(items[j]))) {
-            s.discarded.fetch_add(1, std::memory_order_relaxed);
-            s.terminated.fetch_add(1, std::memory_order_release);
-          }
-        } else {
-          hot_.drop_snm->add();
-          s.lat_snm.add(ms_since(items[j].ingest));
-          s.terminated.fetch_add(1, std::memory_order_release);
-        }
+        s.enter(kSnm);
+        bool pass = c == Call::kOk && scores[j] >= t_pre;
+        if (c != Call::kOk) pass = s.fault_verdict(items[j], c, /*may_bypass=*/true);
+        s.route(kSnm, pass, items[j], [&](Item& it) { return to_tyolo(s, it); });
       }
     }
 
@@ -1237,143 +1175,24 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
   return true;
 }
 
-void FfsVaInstance::reference_entry() {
-  int restarts = 0;
-  // Entries already popped from ref_q live here so they survive a stage
-  // restart: the re-entered loop keeps serving them in pop order (per-stream
-  // FIFO and frame conservation hold through the unwind).
-  std::vector<RefEntry> pending;
-  for (;;) {
-    if (reference_loop(restarts < config_.stage_max_restarts, pending)) return;
-    ++restarts;
-    stage_restarts_.fetch_add(1, std::memory_order_relaxed);
-    stage_backoff(restarts);
-    const std::int64_t cancelled_at = ref_call_.cancelled_at_ms();
-    if (cancelled_at >= 0) {
-      hot_.recovery_ms->record(
-          static_cast<double>(runtime::steady_now_ms() - cancelled_at));
-    }
-  }
-}
-
 bool FfsVaInstance::reference_loop(bool allow_restart,
                                    std::vector<RefEntry>& pending) {
   auto& ref_q = tyolo_shared_->ref_q;
-
-  // The three ways a frame leaves the reference stage. Emission order is
-  // pop order in every mode, so per-stream FIFO holds batched or not.
-  const auto discard = [&](Stream& s, const Item& item) {
-    // Quarantine drain-and-discard. These frames used to vanish with no
-    // latency record at all; they now feed the drop-latency histogram
-    // (telemetry only — per-stream stats freeze at quarantine, as before).
-    s.discarded.fetch_add(1, std::memory_order_relaxed);
-    s.terminated.fetch_add(1, std::memory_order_release);
-    hot_.drop_latency_ms->record(ms_since(item.ingest));
-  };
-  const auto drop = [&](Stream& s, const Item& item) {
-    // The reference model is the last vetting stage: a frame it cannot
-    // evaluate is always dropped (never emitted unvetted), whatever the
-    // degrade policy says about the cheap filters. Dropped frames feed
-    // lat_drop, NOT lat_ref — the reference-stage latency distribution
-    // describes emitted frames only; lat_drop still merges into
-    // stats.latency_ms, so every ingested frame terminates exactly once.
-    s.degraded.fetch_add(1, std::memory_order_relaxed);
-    s.terminated.fetch_add(1, std::memory_order_release);
-    hot_.drop_ref->add();
-    const double ms = ms_since(item.ingest);
-    s.lat_drop.add(ms);
-    hot_.drop_latency_ms->record(ms);
-  };
-  const auto poison = [&](Stream& s, const Item& item) {
-    // Second wedge: the frame is poisoned — same terminal accounting as a
-    // reference-stage drop, but counted as poisoned instead of degraded.
-    s.poisoned.fetch_add(1, std::memory_order_relaxed);
-    s.terminated.fetch_add(1, std::memory_order_release);
-    poisoned_frames_.fetch_add(1, std::memory_order_relaxed);
-    hot_.drop_ref->add();
-    const double ms = ms_since(item.ingest);
-    s.lat_drop.add(ms);
-    hot_.drop_latency_ms->record(ms);
-  };
-  const auto emit = [&](Stream& s, Item&& item,
-                        detect::DetectionResult&& result) {
-    s.ref_passed.fetch_add(1, std::memory_order_relaxed);
-    hot_.ref_passed->add();
-    outputs_count_.fetch_add(1, std::memory_order_relaxed);
-    const double latency = ms_since(item.ingest);
-    s.lat_ref.add(latency);
-    hot_.output_latency_ms->record(latency);
-    OutputEvent ev{std::move(item.frame), std::move(result), latency};
-    if (sink_) {
-      sink_(ev);
-    } else {
-      runtime::MutexLock lk(outputs_mu_);
-      outputs_.push_back(std::move(ev));
-    }
-    // Ticked after the sink call: stream_quiesced() implying "all outputs
-    // delivered" is what lets a hand-off serialize a complete result set.
-    s.terminated.fetch_add(1, std::memory_order_release);
-  };
-
-  if (config_.ref_mode == RefMode::kSingle) {
-    // One frame per detect() call — the paper's deployment. GPU1 is owned
-    // by this thread — device placement held by construction, not a lock.
-    while (auto entry = ref_q.pop()) {
-      Stream& s = *streams_[static_cast<std::size_t>(entry->stream)];
-      if (s.quarantined.load(std::memory_order_acquire)) {
-        discard(s, entry->item);
-        continue;
-      }
-      s.ref_in.fetch_add(1, std::memory_order_relaxed);
-      hot_.ref_in->add();
-      detect::DetectionResult result;
-      try {
-        ref_hb_.busy();
-        telemetry::ScopedSpan sp(trace(), "ref.detect", telemetry::Stage::kRef,
-                                 s.id, entry->item.frame.index);
-        runtime::ModelCallGuard guard(ref_call_, s.id, entry->item.frame.index);
-        result = s.models.reference->detect(entry->item.frame.image);
-        ref_hb_.idle();
-      } catch (const runtime::CancelledError&) {
-        // A wedged reference call the watchdog cancelled. The reference
-        // model is the last vetting stage, so the frame is always dropped
-        // (poisoned on its second wedge); then the stage restarts under
-        // the budget.
-        ref_hb_.idle();
-        ++entry->item.wedges;
-        if (entry->item.wedges >= 2) {
-          poison(s, entry->item);
-        } else {
-          drop(s, entry->item);
-        }
-        if (allow_restart) return false;
-        continue;
-      } catch (...) {
-        ref_hb_.idle();
-        drop(s, entry->item);
-        continue;
-      }
-      emit(s, std::move(entry->item), std::move(result));
-    }
-    return true;
-  }
-
-  // Micro-batched modes: drain ref_q under a second DynamicBatcher (via
-  // BatchDrain, reusing the run's BatchPolicy) into cross-stream batches,
-  // then evaluate each batch in one go — detect_batch under kBatch,
-  // crop-consolidated mosaics under kCropPack. Per-frame outcomes are
-  // applied in batch order = pop order (per-stream FIFO preserved), and a
-  // frame whose evaluation throws is dropped alone (RefBatchItem::ok) —
-  // batch-mates are unaffected.
+  // Drain ref_q under a second DynamicBatcher (via BatchDrain, reusing the
+  // run's BatchPolicy) into cross-stream batches, then evaluate each batch
+  // in one go — detect_batch under kBatch, crop-consolidated mosaics under
+  // kCropPack. GPU1 is owned by this thread: device placement holds by
+  // construction, not a lock. Per-frame outcomes are applied in batch
+  // order = pop order (per-stream FIFO preserved), and a frame whose
+  // evaluation throws is dropped alone (RefBatchItem::ok) — batch-mates
+  // are unaffected.
   const BatchDrain drain(config_.batch_policy, config_.ref_batch_size,
-                         config_.ref_queue_threshold);
-  const detect::CropPackConfig pack_cfg{config_.crop_pad, config_.crop_gutter,
-                                        config_.crop_canvas_edge,
-                                        config_.crop_coverage_threshold};
+                         kRefQueueThreshold);
   // bounded-ok: pending never exceeds ref_batch_size entries — the top-up
   // loop stops at the batch cap and the blocking pop adds one only when the
-  // policy is still waiting below the cap. (The vector itself lives in
-  // reference_entry so popped entries survive a stage restart.)
+  // policy is still waiting below the cap. (The vector itself lives in the
+  // reference thread's run_stage caller so popped entries survive a stage
+  // restart.)
   pending.reserve(static_cast<std::size_t>(drain.batch_size()));
   std::vector<RefEntry*> batch;  // eligible entries, in batch order
   std::vector<const detect::ReferenceDetector*> detectors;
@@ -1412,30 +1231,22 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
       RefEntry& e = pending[static_cast<std::size_t>(i)];
       Stream& s = *streams_[static_cast<std::size_t>(e.stream)];
       if (s.quarantined.load(std::memory_order_acquire)) {
-        discard(s, e.item);
+        s.finish(Fate::kDiscard, e.item);
         continue;
       }
-      s.ref_in.fetch_add(1, std::memory_order_relaxed);
-      hot_.ref_in->add();
+      s.enter(kRef);
       batch.push_back(&e);
     }
 
+    Call c = Call::kOk;
     if (!batch.empty()) {
       hot_.ref_batches->add();
       hot_.ref_batch_size->record(static_cast<double>(batch.size()));
       std::vector<detect::RefBatchItem> results;
-      bool whole_batch_failed = false;
-      bool batch_cancelled = false;
-      try {
-        ref_hb_.busy();
+      const auto eval = [&] {
         telemetry::ScopedSpan sp(trace(), "ref.batch", telemetry::Stage::kRef,
                                  /*stream=*/-1, /*index=*/-1,
                                  static_cast<int>(batch.size()));
-        // The batch spans streams; attribute the in-flight call to the
-        // first entry (the watchdog only needs *a* stream to charge the
-        // cancel to).
-        runtime::ModelCallGuard guard(ref_call_, batch.front()->stream,
-                                      batch.front()->item.frame.index);
         if (config_.ref_mode == RefMode::kCropPack) {
           requests.clear();
           requests.reserve(batch.size());
@@ -1451,12 +1262,12 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
               requests,
               streams_[static_cast<std::size_t>(batch.front()->stream)]
                   ->models.reference->config(),
-              pack_cfg);
+              detect::CropPackConfig{});
           results = std::move(consolidated.items);
           const auto& cs = consolidated.stats;
           for (const double f : cs.fill_ratio) hot_.mosaic_fill->record(f);
-          for (const int c : cs.crops_per_mosaic) {
-            hot_.crops_per_mosaic->record(static_cast<double>(c));
+          for (const int n : cs.crops_per_mosaic) {
+            hot_.crops_per_mosaic->record(static_cast<double>(n));
           }
           hot_.ref_full_frame->add(
               static_cast<std::uint64_t>(cs.full_frame_fallbacks));
@@ -1465,8 +1276,6 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
         } else {  // RefMode::kBatch
           detectors.clear();
           imgs.clear();
-          detectors.reserve(batch.size());
-          imgs.reserve(batch.size());
           for (const RefEntry* e : batch) {
             detectors.push_back(
                 streams_[static_cast<std::size_t>(e->stream)]->models.reference.get());
@@ -1474,50 +1283,45 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
           }
           results = detect::detect_batch(detectors, imgs);
         }
-        ref_hb_.idle();
-      } catch (const runtime::CancelledError&) {
-        // detect_batch re-raises a cancel after all its chunks join, so the
-        // batched device call mirrors the SNM contract: a wedged batch the
-        // watchdog cancelled wedges every frame in it (first wedge drops at
-        // this last vetting stage, second wedge poisons), then the stage
-        // restarts under the budget.
-        ref_hb_.idle();
-        batch_cancelled = true;
-      } catch (...) {
-        // detect_batch / consolidate_detect isolate per-frame errors
-        // internally; only a batch-setup failure (e.g. allocation) lands
-        // here, and it fails just this batch, not the stage.
-        ref_hb_.idle();
-        whole_batch_failed = true;
-      }
+      };
+      // The batch spans streams; attribute the in-flight call to the first
+      // entry (the watchdog only needs *a* stream to charge the cancel to).
+      // detect_batch re-raises a cancel after all its chunks join, so a
+      // cancel fails the whole batch, like the SNM contract.
+      const RefEntry& first = *batch.front();
+      c = guarded_call(&ref_hb_, ref_call_, first.stream, first.item.frame.index, eval);
 
       for (std::size_t i = 0; i < batch.size(); ++i) {
         RefEntry& e = *batch[i];
         Stream& s = *streams_[static_cast<std::size_t>(e.stream)];
-        if (batch_cancelled) {
-          ++e.item.wedges;
-          if (e.item.wedges >= 2) {
-            poison(s, e.item);
-          } else {
-            drop(s, e.item);
-          }
-        } else if (whole_batch_failed || !results[i].ok) {
-          drop(s, e.item);
-        } else {
-          emit(s, std::move(e.item), std::move(results[i].result));
+        if (c != Call::kOk || !results[i].ok) {
+          // The reference model is the last vetting stage: a frame it
+          // cannot evaluate is always dropped (poisoned on its second
+          // wedge), never emitted unvetted.
+          s.fault_verdict(e.item, c == Call::kOk ? Call::kThrew : c,
+                          /*may_bypass=*/false);
+          s.finish(Fate::kDropRef, e.item);
+          continue;
         }
-      }
-      if (batch_cancelled) {
-        // Remove the processed entries first: the restarted loop must not
-        // serve them again.
-        pending.erase(pending.begin(),
-                      pending.begin() + static_cast<std::ptrdiff_t>(step.take));
-        if (allow_restart) return false;
-        continue;
+        const double latency = ms_since(e.item.ingest);
+        OutputEvent ev{std::move(e.item.frame), std::move(results[i].result), latency};
+        if (sink_) {
+          sink_(ev);
+        } else {
+          runtime::MutexLock lk(outputs_mu_);
+          outputs_.push_back(std::move(ev));
+        }
+        // Finished after the sink call: stream_quiesced() implying "all
+        // outputs delivered" is what lets a hand-off serialize a complete
+        // result set.
+        s.finish(Fate::kEmit, latency);
       }
     }
+    // Remove the processed entries before any restart: the re-entered loop
+    // must not serve them again.
     pending.erase(pending.begin(),
                   pending.begin() + static_cast<std::ptrdiff_t>(step.take));
+    if (c == Call::kCancelled && allow_restart) return false;
   }
   return true;
 }
@@ -1596,18 +1400,6 @@ void FfsVaInstance::supervise(Clock::time_point t0) {
   bool stalled = gpu0_hb_.busy_age_ms() > timeout || ref_hb_.busy_age_ms() > timeout;
   for (const auto& hb : sdd_hb_) stalled = stalled || hb.busy_age_ms() > timeout;
   if (stalled) stage_stall_ticks_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void FfsVaInstance::stage_backoff(int attempt) {
-  std::int64_t ms = static_cast<std::int64_t>(
-                        std::max(0, config_.stage_restart_backoff_ms))
-                    << std::min(attempt, 20);
-  ms = std::min<std::int64_t>(ms, 100);
-  const auto until = Clock::now() + std::chrono::milliseconds(ms);
-  // Sliced so stop() aborts the wait promptly.
-  while (Clock::now() < until && !stop_.stop_requested()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
 }
 
 InstanceStats FfsVaInstance::run(bool online) {
@@ -1702,10 +1494,21 @@ InstanceStats FfsVaInstance::run(bool online) {
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(workers) + 2);
   for (int w = 0; w < workers; ++w) {
-    threads.emplace_back([this, w] { sdd_worker_entry(w); });
+    threads.emplace_back([this, w] {
+      run_stage(sdd_call_[static_cast<std::size_t>(w)],
+                [this, w](bool r) { return sdd_worker_loop(w, r); });
+    });
   }
-  threads.emplace_back([this] { gpu0_entry(); });
-  threads.emplace_back([this] { reference_entry(); });
+  threads.emplace_back([this] {
+    run_stage(gpu0_call_, [this](bool r) { return gpu0_loop(r); });
+    // Single exit: the reference stage always sees end-of-stream, whatever
+    // path brought the executor down — and never before its final restart.
+    tyolo_shared_->ref_q.close();
+  });
+  threads.emplace_back([this] {
+    std::vector<RefEntry> pending;  // see reference_loop
+    run_stage(ref_call_, [&](bool r) { return reference_loop(r, pending); });
+  });
 
   runtime::Watchdog watchdog;
   if (config_.stall_timeout_ms > 0 || config_.run_deadline_ms > 0 ||
@@ -1751,164 +1554,38 @@ InstanceStats FfsVaInstance::run(bool online) {
   if (tracing_requested_) trace().disable();
   running_.store(false, std::memory_order_release);
 
+  // Every thread is joined, so the snapshot is exact: it is the run's
+  // report, frozen.
   InstanceStats out;
   out.wall_sec = wall.elapsed_sec();
+  const InstanceSnapshot snap = snapshot();
+  out.health = snap.health;
   std::uint64_t ingested = 0;
-  for (auto& sp : streams_) {
-    Stream& s = *sp;
-    // Snapshot the prefetch-thread atomics into the plain report. For a
-    // quarantined stream the thread may still be alive — the snapshot is
-    // the freeze point of its counters.
-    s.stats.prefetch.in = s.prefetch_in.load(std::memory_order_relaxed);
-    s.stats.prefetch.passed = s.prefetch_passed.load(std::memory_order_relaxed);
-    s.stats.dropped_at_ingest = s.dropped_ingest.load(std::memory_order_relaxed);
-    // Freeze the per-stage counters now that the stage threads are joined;
-    // the atomics exist so snapshot() can read them mid-run.
-    s.stats.sdd.in = s.sdd_in.load(std::memory_order_relaxed);
-    s.stats.sdd.passed = s.sdd_passed.load(std::memory_order_relaxed);
-    s.stats.snm.in = s.snm_in.load(std::memory_order_relaxed);
-    s.stats.snm.passed = s.snm_passed.load(std::memory_order_relaxed);
-    s.stats.tyolo.in = s.tyolo_in.load(std::memory_order_relaxed);
-    s.stats.tyolo.passed = s.tyolo_passed.load(std::memory_order_relaxed);
-    s.stats.ref.in = s.ref_in.load(std::memory_order_relaxed);
-    s.stats.ref.passed = s.ref_passed.load(std::memory_order_relaxed);
-    s.stats.fault.decode_errors = s.decode_errors.load(std::memory_order_relaxed);
-    s.stats.fault.retries = s.retries.load(std::memory_order_relaxed);
-    s.stats.fault.restarts = s.restarts.load(std::memory_order_relaxed);
-    s.stats.fault.degraded_frames = s.degraded.load(std::memory_order_relaxed);
-    s.stats.fault.discarded_frames = s.discarded.load(std::memory_order_relaxed);
-    s.stats.fault.cancelled_calls = s.cancels.load(std::memory_order_relaxed);
-    s.stats.fault.poisoned_frames = s.poisoned.load(std::memory_order_relaxed);
-    s.stats.fault.quarantined = s.quarantined.load(std::memory_order_acquire);
-    // Ingest accounting: decode work actually performed vs skipped via the
-    // compressed-domain hint, plus the decode-stage latency distribution.
-    s.stats.ingest.decode_full = s.decode_full.load(std::memory_order_relaxed);
-    s.stats.ingest.decode_skipped =
-        s.decode_skipped.load(std::memory_order_relaxed);
-    s.stats.ingest.hint_passes = s.hint_passes.load(std::memory_order_relaxed);
-    s.stats.ingest.hint_fallbacks =
-        s.hint_fallbacks.load(std::memory_order_relaxed);
-    s.stats.ingest.decode_ms = s.decode_ms.snapshot();
-    if (const auto cs = s.source->codec_stats()) {
-      s.stats.ingest.compression_ratio = cs->compression_ratio();
-    }
-    // Merge the per-stage terminal-latency histograms now that every stage
-    // thread is joined; keeping them separate during the run is what makes
-    // concurrent recording race-free.
-    s.stats.latency_ms.merge(s.lat_sdd);
-    s.stats.latency_ms.merge(s.lat_snm);
-    s.stats.latency_ms.merge(s.lat_tyolo);
-    s.stats.latency_ms.merge(s.lat_ref);
-    s.stats.latency_ms.merge(s.lat_drop);
+  for (const StreamSnapshot& ss : snap.streams) {
+    const Stream& s = *streams_[static_cast<std::size_t>(ss.id)];
+    StreamStats st;
+    st.prefetch = {ss.prefetch_in, ss.prefetch_passed};
+    st.sdd = {ss.sdd_in, ss.sdd_passed};
+    st.snm = {ss.snm_in, ss.snm_passed};
+    st.tyolo = {ss.tyolo_in, ss.tyolo_passed};
+    st.ref = {ss.ref_in, ss.ref_passed};
+    st.dropped_at_ingest = ss.dropped_at_ingest;
+    st.ingest.decode_full = ss.decode_full;
+    st.ingest.decode_skipped = ss.decode_skipped;
+    st.ingest.hint_passes = ss.hint_passes;
+    st.ingest.hint_fallbacks = ss.hint_fallbacks;
+    st.ingest.compression_ratio = ss.compression_ratio;
+    st.ingest.decode_ms = s.decode_ms.snapshot();
+    st.fault = ss.fault;
+    for (const auto& h : s.lat) st.latency_ms.merge(h);
     const double iw = s.ingest_wall_sec.load(std::memory_order_relaxed);
-    if (iw > 0.0) {
-      s.stats.ingest_fps = static_cast<double>(s.stats.prefetch.passed) / iw;
-    }
-    ingested += s.stats.prefetch.passed;
-
-    if (s.stats.fault.quarantined) {
-      ++out.health.quarantined_streams;
-    } else if (s.stats.fault.any()) {
-      ++out.health.degraded_streams;
-    } else {
-      ++out.health.healthy_streams;
-    }
-    out.health.decode_errors += s.stats.fault.decode_errors;
-    out.health.retries += s.stats.fault.retries;
-    out.health.restarts += s.stats.fault.restarts;
-    out.health.degraded_frames += s.stats.fault.degraded_frames;
-    out.health.discarded_frames += s.stats.fault.discarded_frames;
-
-    out.streams.push_back(s.stats);
+    if (iw > 0.0) st.ingest_fps = static_cast<double>(st.prefetch.passed) / iw;
+    ingested += st.prefetch.passed;
+    out.streams.push_back(std::move(st));
   }
-  out.health.cancels = cancels_.load(std::memory_order_relaxed);
-  out.health.stage_restarts = stage_restarts_.load(std::memory_order_relaxed);
-  out.health.poisoned_frames = poisoned_frames_.load(std::memory_order_relaxed);
-  out.health.stage_stall_ticks = stage_stall_ticks_.load(std::memory_order_relaxed);
-  out.health.stopped = stop_.stop_requested();
-  out.health.deadline_hit = deadline_hit_.load(std::memory_order_relaxed);
   out.total_throughput_fps =
       out.wall_sec > 0.0 ? static_cast<double>(ingested) / out.wall_sec : 0.0;
-  {
-    runtime::MutexLock lk(outputs_mu_);
-    for (const auto& ev : outputs_) out.output_latency_ms.add(ev.latency_ms);
-  }
   return out;
-}
-
-BaselineStats run_yolo_baseline(
-    std::vector<std::unique_ptr<video::FrameSource>> sources,
-    const std::vector<detect::StreamModels>& models, bool online,
-    double online_fps) {
-  BaselineStats stats;
-  runtime::Stopwatch wall;
-  // Two GPU workers pull from a shared frame queue — YOLOv2 running on both
-  // GPUs, the paper's baseline deployment.
-  runtime::BoundedQueue<std::pair<int, Item>> q(8);
-  std::atomic<std::uint64_t> frames{0}, dropped{0};
-  runtime::Mutex hist_mu{runtime::rank::kBenchStats, "baseline::hist_mu"};
-
-  // thread-ok: the baseline harness spawns its own producers/GPU workers —
-  // it deliberately bypasses the engine (that is what it measures against);
-  // all joined below.
-  std::vector<std::thread> producers;
-  producers.reserve(sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    producers.emplace_back([&, i] {
-      runtime::RateLimiter limiter(online_fps, 2.0);
-      const auto interval = std::chrono::duration<double>(1.0 / online_fps);
-      while (auto f = sources[i]->next()) {
-        Item item{std::move(*f), Clock::now()};
-        if (online) {
-          limiter.acquire();
-          if (!q.push_for(std::make_pair(static_cast<int>(i), std::move(item)),
-                          interval)) {
-            dropped.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-        } else {
-          if (!q.push(std::make_pair(static_cast<int>(i), std::move(item)))) break;
-        }
-        frames.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  // Each device lock is held across detect(), which fans out through the
-  // compute pool — hence kBenchDevice orders before the kComputePool group.
-  runtime::Mutex gpu[2]{{runtime::rank::kBenchDevice, "baseline::gpu[0]"},
-                        {runtime::rank::kBenchDevice, "baseline::gpu[1]"}};
-  // thread-ok: the baseline's two GPU workers, joined below.
-  std::vector<std::thread> workers;
-  for (int g = 0; g < 2; ++g) {
-    workers.emplace_back([&, g] {
-      while (auto entry = q.pop()) {
-        auto& [stream_id, item] = *entry;
-        detect::DetectionResult r;
-        {
-          runtime::MutexLock lk(gpu[g]);
-          // blocking-ok: the device lock exists precisely to serialize the
-          // model call — the baseline being measured runs one inference per
-          // GPU at a time; nothing else ever waits on gpu[g].
-          r = models[static_cast<std::size_t>(stream_id)].reference->detect(
-              item.frame.image);
-        }
-        runtime::MutexLock lk(hist_mu);
-        stats.latency_ms.add(ms_since(item.ingest));
-      }
-    });
-  }
-
-  for (auto& t : producers) t.join();
-  q.close();
-  for (auto& t : workers) t.join();
-
-  stats.wall_sec = wall.elapsed_sec();
-  stats.frames = frames.load();
-  stats.dropped = dropped.load();
-  stats.throughput_fps =
-      stats.wall_sec > 0.0 ? static_cast<double>(stats.frames) / stats.wall_sec : 0.0;
-  return stats;
 }
 
 }  // namespace ffsva::core

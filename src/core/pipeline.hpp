@@ -137,7 +137,6 @@ struct InstanceStats {
   std::vector<StreamStats> streams;
   double wall_sec = 0.0;
   double total_throughput_fps = 0.0;  ///< Ingested frames / wall seconds.
-  runtime::Histogram output_latency_ms;
   HealthSummary health;
 
   StreamStats aggregate() const;
@@ -315,33 +314,28 @@ class FfsVaInstance {
   struct RefEntry;
 
   /// Static + shared_ptr: the prefetch loop touches only the Stream it
-  /// co-owns, never `this`, so the instance registry stays single-schema
-  /// (prefetch state surfaces as gauges over Stream atomics). The thread is
-  /// always joined before run() returns — a wedged decode is un-wedged by
-  /// cancellation (quarantine cancels the stream's in-flight call).
+  /// co-owns (and, through it, the registry handles every stage records
+  /// into), never `this`. The thread is always joined before run() returns
+  /// — a wedged decode is un-wedged by cancellation (quarantine cancels the
+  /// stream's in-flight call).
   /// `affinity_base` >= 0 pins the thread to CPU (base + stream id) mod
   /// cpu_count before the first decode (runtime::pin_current_thread).
   static void prefetch_loop(std::shared_ptr<Stream> s, bool online,
                             int affinity_base);
 
-  /// Stage entry points: each wraps its loop in the restart policy of
-  /// DESIGN.md Section 14 — a loop returning false was unwound by a
-  /// watchdog cancel and re-enters after stage_backoff(), up to
-  /// config.stage_max_restarts times; past the budget the loop handles
-  /// further cancels inline (degrade the frame, keep serving) and never
-  /// requests a restart. The loops return true when their work is finished.
-  void sdd_worker_entry(int worker);
-  void gpu0_entry();
-  void reference_entry();
+  /// The stage restart policy of DESIGN.md Section 14, shared by every
+  /// stage thread: `loop(allow_restart)` returning false was unwound by a
+  /// watchdog cancel (on `call`) and re-enters after a sliced backoff, up to
+  /// kStageMaxRestarts times; past the budget the loop handles further
+  /// cancels inline (degrade the frame, keep serving) and never requests a
+  /// restart. Loops return true when their work is finished.
+  void run_stage(runtime::InflightCall& call, const std::function<bool(bool)>& loop);
   bool sdd_worker_loop(int worker, bool allow_restart);
   bool gpu0_loop(bool allow_restart);
-  /// `pending` lives in reference_entry so entries already popped from
-  /// ref_q survive a stage restart (per-stream FIFO and conservation hold
-  /// through the unwind).
+  /// `pending` lives in the reference thread's run_stage caller so entries
+  /// already popped from ref_q survive a stage restart (per-stream FIFO and
+  /// conservation hold through the unwind).
   bool reference_loop(bool allow_restart, std::vector<RefEntry>& pending);
-  /// Sliced sleep before a stage re-enters its loop: stage_restart_backoff_ms
-  /// doubled per attempt, capped at 100 ms, aborted early by stop().
-  void stage_backoff(int attempt);
 
   /// The watchdog tick: run deadline, wedged-call cancellation
   /// (model_call_timeout_ms), per-stream stall quarantine, shared-stage
@@ -406,12 +400,10 @@ class FfsVaInstance {
   std::atomic<bool> run_called_{false};
   std::atomic<bool> deadline_hit_{false};
   std::atomic<std::uint64_t> stage_stall_ticks_{0};
-  /// Escalation totals (DESIGN.md Section 14); per-stream attribution lives
-  /// in the Stream atomics, these are the instance rollups the health
-  /// summary and the supervision.* gauges read.
+  /// Escalation totals (DESIGN.md Section 14) with no per-stream home:
+  /// watchdog cancels (also attributed per stream) and stage restarts.
   std::atomic<std::uint64_t> cancels_{0};
   std::atomic<std::uint64_t> stage_restarts_{0};
-  std::atomic<std::uint64_t> poisoned_frames_{0};
   std::vector<runtime::Heartbeat> sdd_hb_;  ///< One per SDD worker.
   runtime::Heartbeat gpu0_hb_;
   runtime::Heartbeat ref_hb_;
@@ -429,9 +421,9 @@ class FfsVaInstance {
 
   // Telemetry. The registry lives in the instance; every stage thread —
   // prefetch included — joins before run() returns, so instance lifetime
-  // covers every recorder. Prefetch state still reports through its
-  // Stream's atomics (surfaced here as gauges) to keep the loop free of
-  // instance coupling.
+  // covers every recorder. Prefetch-only state (ingest and fault counters)
+  // reports through Stream atomics surfaced here as gauges; frame outcomes
+  // go through the Hot handles every Stream carries.
   telemetry::Registry metrics_;
   telemetry::MetricsExporter exporter_{metrics_};
   std::ostream* metrics_sink_ = nullptr;
@@ -440,39 +432,34 @@ class FfsVaInstance {
   bool tracing_requested_ = false;
   std::atomic<bool> running_{false};
   std::atomic<std::int64_t> run_t0_ns_{0};
-  std::atomic<std::uint64_t> outputs_count_{0};
+
+  /// The four stages of the cascade, in order; indexes every per-stage
+  /// table (stream counters, registry handles, terminal fates).
+  enum StageId : int { kSdd, kSnm, kTyolo, kRef, kNumStages };
 
   /// Hot-path handles, resolved once in wire_metrics() so stage loops never
-  /// touch the registry map.
+  /// touch the registry map. Each Stream points at this struct, so every
+  /// thread that finishes a frame — prefetch included — records into the
+  /// same registry.
   struct Hot {
-    telemetry::Counter* sdd_in = nullptr;
-    telemetry::Counter* sdd_passed = nullptr;
-    telemetry::Counter* snm_in = nullptr;
-    telemetry::Counter* snm_passed = nullptr;
-    telemetry::Counter* tyolo_in = nullptr;
-    telemetry::Counter* tyolo_passed = nullptr;
-    telemetry::Counter* ref_in = nullptr;
-    telemetry::Counter* ref_passed = nullptr;
-    telemetry::Counter* drop_sdd = nullptr;
-    telemetry::Counter* drop_snm = nullptr;
-    telemetry::Counter* drop_tyolo = nullptr;
-    telemetry::Counter* drop_ref = nullptr;
+    telemetry::Counter* in[kNumStages] = {};      ///< "<stage>.in"
+    telemetry::Counter* passed[kNumStages] = {};  ///< "<stage>.passed"
+    telemetry::Counter* drop[kNumStages] = {};    ///< "drop.<stage>"
     telemetry::Counter* snm_batches = nullptr;
     telemetry::Counter* tyolo_picks = nullptr;
     telemetry::AtomicHistogram* batch_size = nullptr;
     telemetry::AtomicHistogram* tyolo_take = nullptr;
     telemetry::AtomicHistogram* output_latency_ms = nullptr;
-    // GPU1 reference-stage batching/consolidation (one schema, same
-    // registry: these are just more handles resolved in wire_metrics()).
+    // GPU1 reference-stage batching/consolidation.
     telemetry::Counter* ref_batches = nullptr;
     telemetry::AtomicHistogram* ref_batch_size = nullptr;  ///< Occupancy.
     telemetry::AtomicHistogram* crops_per_mosaic = nullptr;
     telemetry::AtomicHistogram* mosaic_fill = nullptr;
     telemetry::Counter* ref_full_frame = nullptr;
     telemetry::Counter* ref_seam_suppressed = nullptr;
-    /// Ingest-to-drop latency of frames the reference stage dropped or
-    /// quarantine-discarded — kept OUT of latency.output_ms so the output
-    /// distribution describes only emitted frames.
+    /// Ingest-to-drop latency of frames the reference stage dropped and of
+    /// frames discarded anywhere — kept OUT of latency.output_ms so the
+    /// output distribution describes only emitted frames.
     telemetry::AtomicHistogram* drop_latency_ms = nullptr;
     /// Time from a watchdog cancel to the affected stage serving again
     /// (after its restart backoff) — the time-to-recovery distribution of
@@ -481,20 +468,5 @@ class FfsVaInstance {
   };
   Hot hot_;
 };
-
-/// The paper's baseline: every frame of every stream goes straight to the
-/// full-feature reference model (YOLOv2), using both GPU tokens.
-struct BaselineStats {
-  double wall_sec = 0.0;
-  double throughput_fps = 0.0;
-  std::uint64_t frames = 0;
-  std::uint64_t dropped = 0;
-  runtime::Histogram latency_ms;
-};
-
-BaselineStats run_yolo_baseline(
-    std::vector<std::unique_ptr<video::FrameSource>> sources,
-    const std::vector<detect::StreamModels>& models, bool online,
-    double online_fps = 30.0);
 
 }  // namespace ffsva::core

@@ -120,6 +120,30 @@ TEST(HintedIngest, MatchesFullPolicySurvivors) {
   EXPECT_LE(diff.size(), 3u) << "hinted survivors drifted too far from full";
 }
 
+TEST(HintedIngest, RegistrySddCountersMatchStreamStats) {
+  // The fused prefetch+SDD stage ends frames through the same sink as the
+  // SDD pool, so the registry's SDD counters agree with the per-stream
+  // stats on a hinted run.
+  auto& s = shared_stream();
+  FfsVaConfig cfg;
+  cfg.decode_policy = DecodePolicy::kHinted;
+  FfsVaInstance instance(cfg);
+  for (int i = 0; i < 2; ++i) {
+    instance.add_stream(std::make_unique<video::StoredSource>(s.video, i), s.models);
+  }
+  const auto stats = instance.run(/*online=*/false);
+  std::uint64_t in = 0, passed = 0;
+  for (const auto& st : stats.streams) {
+    in += st.sdd.in;
+    passed += st.sdd.passed;
+  }
+  EXPECT_EQ(in, 600u);
+  auto& m = instance.metrics();
+  EXPECT_EQ(m.counter("sdd.in").value(), in);
+  EXPECT_EQ(m.counter("sdd.passed").value(), passed);
+  EXPECT_EQ(m.counter("drop.sdd").value(), in - passed);
+}
+
 TEST(HintedIngest, StaticThresholdSkipsMostDecodes) {
   // With the SDD threshold far above the scene's dynamic range every frame
   // is droppable, and the hint chain should prove that without decoding.

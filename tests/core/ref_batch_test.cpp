@@ -1,14 +1,17 @@
-// GPU1 reference-stage batching in the live engine: RefMode::kBatch must be
-// output-equivalent to RefMode::kSingle (same frames, same per-stream order,
-// same detections), a frame the reference model cannot evaluate must be
-// dropped alone (per-frame drop-on-error inside a batch), the drop-latency
-// fix must keep dropped frames out of the output-latency distribution, and
-// RefMode::kCropPack must agree with the single-frame oracle on the frames
-// it emits. Runs under the tsan/asan labels — the batched reference loop and
-// its cross-stream buffers are new concurrency surface.
+// GPU1 reference-stage batching in the live engine, checked against a
+// sequential oracle that never touches the engine: RefMode::kBatch must emit
+// exactly the frames a one-at-a-time SDD→SNM→T-YOLO pass keeps, each with
+// the detections of a direct ReferenceDetector::detect; a frame the
+// reference model cannot evaluate must be dropped alone (per-frame
+// drop-on-error inside a batch); dropped frames must stay out of the
+// output-latency distribution; and RefMode::kCropPack must agree with the
+// oracle on the frames it emits. Runs under the tsan/asan labels — the
+// batched reference loop and its cross-stream buffers are concurrency
+// surface.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -107,6 +110,17 @@ struct RunResult {
   std::uint64_t ref_batches = 0;
 };
 
+/// Stream `i` of `streams` splitting [begin, end) evenly; the engine and
+/// the oracle each build their own copy.
+std::unique_ptr<video::FrameSource> make_source(int i, int streams, std::int64_t begin,
+                                                std::int64_t end, bool truncate) {
+  auto& s = shared_stream();
+  const std::int64_t span = (end - begin) / streams;
+  const std::int64_t b = begin + i * span;
+  if (truncate) return std::make_unique<TruncatingSource>(s.sim, b, b + span, 7);
+  return std::make_unique<WindowSource>(s.sim, i, b, b + span);
+}
+
 RunResult run_window(RefMode mode, int streams, std::int64_t begin,
                      std::int64_t end, bool truncate = false) {
   auto& s = shared_stream();
@@ -115,17 +129,8 @@ RunResult run_window(RefMode mode, int streams, std::int64_t begin,
   cfg.ref_batch_size = 6;
   if (truncate) cfg.degrade_policy = DegradePolicy::kBypass;
   FfsVaInstance instance(cfg);
-  const std::int64_t span = (end - begin) / streams;
   for (int i = 0; i < streams; ++i) {
-    if (truncate) {
-      instance.add_stream(std::make_unique<TruncatingSource>(
-                              s.sim, begin + i * span, begin + (i + 1) * span, 7),
-                          s.models);
-    } else {
-      instance.add_stream(std::make_unique<WindowSource>(
-                              s.sim, i, begin + i * span, begin + (i + 1) * span),
-                          s.models);
-    }
+    instance.add_stream(make_source(i, streams, begin, end, truncate), s.models);
   }
   RunResult r;
   r.stats = instance.run(/*online=*/false);
@@ -139,26 +144,66 @@ RunResult run_window(RefMode mode, int streams, std::int64_t begin,
   return r;
 }
 
-TEST(RefBatch, BatchedOutputsEqualSingleIncludingOrder) {
-  const auto single = run_window(RefMode::kSingle, 2, 700, 1000);
-  const auto batched = run_window(RefMode::kBatch, 2, 700, 1000);
-  // Identical emitted frames in identical global order is stronger than the
-  // contract (which fixes only per-stream order), but it holds here because
-  // both modes emit in pop order from the same FIFO ref_q.
-  ASSERT_EQ(batched.outputs, single.outputs);
-  ASSERT_EQ(batched.results.size(), single.results.size());
-  for (std::size_t i = 0; i < single.results.size(); ++i) {
-    ASSERT_EQ(batched.results[i].detections.size(),
-              single.results[i].detections.size());
-    for (std::size_t d = 0; d < single.results[i].detections.size(); ++d) {
-      EXPECT_EQ(batched.results[i].detections[d].box,
-                single.results[i].detections[d].box);
-      EXPECT_DOUBLE_EQ(batched.results[i].detections[d].confidence,
-                       single.results[i].detections[d].confidence);
+/// The engine-independent reference: every frame of every stream runs
+/// through SDD→SNM→T-YOLO one at a time, and every survivor through a
+/// direct ReferenceDetector::detect. Survivors the reference model cannot
+/// evaluate (truncated frames) are counted in `rejected`, not listed.
+using Key = std::pair<int, std::int64_t>;  ///< (stream, frame index)
+struct Oracle {
+  std::map<Key, detect::DetectionResult> emitted;
+  std::uint64_t rejected = 0;
+
+  std::set<Key> keys() const {
+    std::set<Key> out;
+    for (const auto& [key, result] : emitted) out.insert(key);
+    return out;
+  }
+};
+
+Oracle sequential_oracle(int streams, std::int64_t begin, std::int64_t end,
+                         bool truncate = false) {
+  auto& s = shared_stream();
+  Oracle o;
+  for (int i = 0; i < streams; ++i) {
+    auto src = make_source(i, streams, begin, end, truncate);
+    while (auto f = src->next()) {
+      if (!s.models.sdd->pass(f->image) || !s.models.snm->pass(f->image) ||
+          !s.models.tyolo->pass(f->image, s.models.target, 1)) {
+        continue;
+      }
+      try {
+        o.emitted.emplace(std::make_pair(f->stream_id, f->index),
+                          s.models.reference->detect(f->image));
+      } catch (const std::exception&) {
+        ++o.rejected;
+      }
     }
   }
+  return o;
+}
+
+/// The engine emitted exactly the oracle's frames (each once), each with
+/// the oracle's detections.
+void expect_matches_oracle(const RunResult& r, const Oracle& o) {
+  const std::set<Key> got(r.outputs.begin(), r.outputs.end());
+  EXPECT_EQ(got.size(), r.outputs.size()) << "a frame was emitted twice";
+  ASSERT_EQ(got, o.keys());
+  for (std::size_t i = 0; i < r.outputs.size(); ++i) {
+    const auto& want_dets = o.emitted.at(r.outputs[i]).detections;
+    const auto& got_dets = r.results[i].detections;
+    ASSERT_EQ(got_dets.size(), want_dets.size());
+    for (std::size_t d = 0; d < want_dets.size(); ++d) {
+      EXPECT_EQ(got_dets[d].box, want_dets[d].box);
+      EXPECT_DOUBLE_EQ(got_dets[d].confidence, want_dets[d].confidence);
+    }
+  }
+}
+
+TEST(RefBatch, BatchedOutputsMatchSequentialOracle) {
+  const auto batched = run_window(RefMode::kBatch, 2, 700, 1000);
+  expect_matches_oracle(batched, sequential_oracle(2, 700, 1000));
+  EXPECT_GT(batched.outputs.size(), 0u);
   EXPECT_GT(batched.ref_batches, 0u);
-  EXPECT_EQ(single.ref_batches, 0u);
 }
 
 TEST(RefBatch, PerStreamFifoOrderHolds) {
@@ -175,20 +220,19 @@ TEST(RefBatch, PerStreamFifoOrderHolds) {
 }
 
 TEST(RefBatch, ThrowingFrameIsDroppedAloneInsideBatches) {
-  const auto single = run_window(RefMode::kSingle, 1, 700, 1000, /*truncate=*/true);
   const auto batched = run_window(RefMode::kBatch, 1, 700, 1000, /*truncate=*/true);
+  const auto oracle = sequential_oracle(1, 700, 1000, /*truncate=*/true);
 
-  // Truncated frames reach the reference stage and throw there; both modes
-  // must drop exactly those frames and emit everything else identically —
-  // a batched exception must not take batch-mates down with it.
-  EXPECT_EQ(batched.outputs, single.outputs);
+  // Truncated frames reach the reference stage and throw there; the engine
+  // must drop exactly those frames and emit everything else as the oracle
+  // does — a batched exception must not take batch-mates down with it.
+  expect_matches_oracle(batched, oracle);
   for (const auto& [stream, index] : batched.outputs) {
     EXPECT_NE(index % 7, 0) << "a truncated frame was emitted unvetted";
   }
   const auto& st_b = batched.stats.streams[0];
-  const auto& st_s = single.stats.streams[0];
-  EXPECT_GT(st_b.fault.degraded_frames, 0u);
-  EXPECT_EQ(st_b.fault.degraded_frames, st_s.fault.degraded_frames);
+  EXPECT_GT(oracle.rejected, 0u);
+  EXPECT_EQ(st_b.fault.degraded_frames, oracle.rejected);
   EXPECT_EQ(st_b.ref.in - st_b.ref.passed, st_b.fault.degraded_frames);
   // Conservation: every ingested frame still terminates exactly once.
   EXPECT_EQ(st_b.latency_ms.count(), st_b.prefetch.passed);
@@ -203,20 +247,21 @@ TEST(RefBatch, DroppedFramesFeedDropHistogramNotOutputLatency) {
   EXPECT_EQ(r.output_hist_count, r.outputs.size());
 }
 
-TEST(RefCropPack, EmitsSameFramesAndAgreesWithSingleFrameOracle) {
+TEST(RefCropPack, EmitsSameFramesAndAgreesWithSequentialOracle) {
   auto& s = shared_stream();
-  const auto single = run_window(RefMode::kSingle, 2, 1000, 1300);
+  const auto oracle = sequential_oracle(2, 1000, 1300);
   const auto packed = run_window(RefMode::kCropPack, 2, 1000, 1300);
   // Every mode emits every frame the reference stage could evaluate, so the
-  // emitted frame sets match exactly; what kCropPack may change (bounded by
-  // the fallback policy) is the detections.
-  ASSERT_EQ(packed.outputs, single.outputs);
+  // emitted frame set matches the oracle's exactly; what kCropPack may
+  // change (bounded by the fallback policy) is the detections.
+  ASSERT_EQ(std::set<Key>(packed.outputs.begin(), packed.outputs.end()), oracle.keys());
+  ASSERT_EQ(packed.outputs.size(), oracle.emitted.size());
   ASSERT_GT(packed.outputs.size(), 0u);
   const double conf = s.models.reference->config().confidence_threshold;
   int agree = 0;
   for (std::size_t i = 0; i < packed.outputs.size(); ++i) {
     const bool oracle_pass =
-        single.results[i].count_target(s.models.target, conf) >= 1;
+        oracle.emitted.at(packed.outputs[i]).count_target(s.models.target, conf) >= 1;
     const bool packed_pass =
         packed.results[i].count_target(s.models.target, conf) >= 1;
     if (oracle_pass == packed_pass) ++agree;
@@ -224,17 +269,15 @@ TEST(RefCropPack, EmitsSameFramesAndAgreesWithSingleFrameOracle) {
   const double agreement =
       static_cast<double>(agree) / static_cast<double>(packed.outputs.size());
   EXPECT_GE(agreement, 0.95)
-      << "crop-packed pass/fail verdicts diverge from the single-frame oracle";
+      << "crop-packed pass/fail verdicts diverge from the sequential oracle";
 }
 
 TEST(RefConfig, ModeNamesAndDefaults) {
-  EXPECT_STREQ(to_string(RefMode::kSingle), "single");
   EXPECT_STREQ(to_string(RefMode::kBatch), "batch");
   EXPECT_STREQ(to_string(RefMode::kCropPack), "crop_pack");
   FfsVaConfig cfg;
   EXPECT_EQ(cfg.ref_mode, RefMode::kBatch);
   EXPECT_GE(cfg.ref_batch_size, 1);
-  EXPECT_GE(cfg.ref_queue_threshold, 1);
 }
 
 }  // namespace

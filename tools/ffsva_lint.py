@@ -6,8 +6,8 @@ Six rules, each enforcing a structural invariant the compiler cannot:
   raw-thread         std::thread may only appear under src/runtime/ (the
                      supervised-thread vocabulary lives there). Elsewhere a
                      site must carry a `// thread-ok: <reason>` marker — the
-                     per-stream prefetch threads and the baseline harness in
-                     core/pipeline.cpp are the intended users.
+                     per-stream prefetch threads and the fixed stage threads
+                     in core/pipeline.cpp are the intended users.
 
   relaxed-order      std::memory_order_relaxed is only legal in files whose
                      header carries a `// relaxed-ok: <reason>` audit
