@@ -589,9 +589,9 @@ int main(int argc, char** argv) {
                   agg.latency_ms.p99());
       if (with_faults) {
         std::printf("%10s decode_errors=%llu retries=%llu degraded=%llu\n", "",
-                    static_cast<unsigned long long>(stats.health.decode_errors),
-                    static_cast<unsigned long long>(stats.health.retries),
-                    static_cast<unsigned long long>(stats.health.degraded_frames));
+                    static_cast<unsigned long long>(agg.fault.decode_errors),
+                    static_cast<unsigned long long>(agg.fault.retries),
+                    static_cast<unsigned long long>(agg.fault.degraded_frames));
       }
       char name[64];
       std::snprintf(name, sizeof(name), "%sonline%s/streams=%d", label.c_str(),
@@ -599,10 +599,10 @@ int main(int argc, char** argv) {
       bench::JsonReport::Extras extras{{"drop_rate", drop_rate}};
       if (with_faults) {
         extras.emplace_back("decode_errors",
-                            static_cast<double>(stats.health.decode_errors));
-        extras.emplace_back("retries", static_cast<double>(stats.health.retries));
+                            static_cast<double>(agg.fault.decode_errors));
+        extras.emplace_back("retries", static_cast<double>(agg.fault.retries));
         extras.emplace_back("degraded_frames",
-                            static_cast<double>(stats.health.degraded_frames));
+                            static_cast<double>(agg.fault.degraded_frames));
       }
       report.add(name, stats.total_throughput_fps, agg.latency_ms.p50(),
                  agg.latency_ms.p99(), std::move(extras));
@@ -678,8 +678,8 @@ int main(int argc, char** argv) {
       r.p99 = agg.latency_ms.p99();
       r.cancels = stats.health.cancels;
       r.stage_restarts = stats.health.stage_restarts;
-      r.poisoned = stats.health.poisoned_frames;
-      r.degraded = stats.health.degraded_frames;
+      r.poisoned = agg.fault.poisoned_frames;
+      r.degraded = agg.fault.degraded_frames;
       r.recovery_p99_ms =
           instance.metrics().histogram("latency.recovery_ms").snapshot().quantile(
               0.99);
@@ -748,7 +748,7 @@ int main(int argc, char** argv) {
   // the snapshot-exchange overhead (budget <= 2%).
   if (cluster) {
     const auto run_cluster = [&](int nodes, std::uint64_t cframes,
-                                 int snapshot_ms, double migrate_at) {
+                                 int snapshot_ms, std::uint64_t migrate_after) {
       std::vector<std::unique_ptr<node::NodeServer>> servers;
       std::vector<std::thread> loops;
       std::vector<net::Endpoint> eps;
@@ -767,7 +767,7 @@ int main(int argc, char** argv) {
                                           /*w=*/96, /*h=*/72);
       node::SchedOptions sopts;
       sopts.snapshot_interval_ms = snapshot_ms;
-      sopts.force_migration_at_sec = migrate_at;
+      sopts.force_migration_after = migrate_after;
       sopts.deadline_sec = 600.0;
       node::ClusterScheduler sched(eps, core::FfsVaConfig{}, sopts);
       node::ClusterReport rep = sched.run(specs);
@@ -784,10 +784,10 @@ int main(int argc, char** argv) {
     std::printf("%-24s %12s %10s %16s\n", "variant", "agg FPS", "handoffs",
                 "handoff p99(ms)");
     bench::print_rule();
-    const auto [rep1, fps1] = run_cluster(1, 1200, 100, -1.0);
+    const auto [rep1, fps1] = run_cluster(1, 1200, 100, 0);
     std::printf("%-24s %12.1f %10d %16s\n", "nodes=1", fps1, rep1.handoffs,
                 "-");
-    const auto [rep2, fps2] = run_cluster(2, 1200, 100, 1.0);
+    const auto [rep2, fps2] = run_cluster(2, 1200, 100, 300);
     std::printf("%-24s %12.1f %10d %16.1f\n", "nodes=2 (live handoff)", fps2,
                 rep2.handoffs, rep2.handoff_p99_ms());
     if (!rep1.ok || !rep2.ok || rep2.handoffs < 1) {
@@ -810,8 +810,8 @@ int main(int argc, char** argv) {
     // as the telemetry-overhead block).
     double best_tight = 0.0, best_off = 0.0;
     for (int rep = 0; rep < 2; ++rep) {
-      best_off = std::max(best_off, run_cluster(2, 600, 1 << 20, -1.0).second);
-      best_tight = std::max(best_tight, run_cluster(2, 600, 20, -1.0).second);
+      best_off = std::max(best_off, run_cluster(2, 600, 1 << 20, 0).second);
+      best_tight = std::max(best_tight, run_cluster(2, 600, 20, 0).second);
     }
     const double snap_overhead_pct =
         best_off > 0.0 ? (best_off - best_tight) / best_off * 100.0 : 0.0;

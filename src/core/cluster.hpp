@@ -30,7 +30,7 @@
 
 namespace ffsva::core {
 
-struct InstanceSnapshot;  // pipeline.hpp
+struct InstanceStats;  // pipeline.hpp
 
 struct ReforwardDecision {
   int stream_id = -1;
@@ -58,7 +58,7 @@ class ClusterManager {
   ///    overload signal (Section 4.3.1's re-forward trigger);
   ///  * instance health follows the snapshot: an instance with quarantined
   ///    streams stops receiving placements and becomes a re-forward source.
-  void report_snapshot(int id, double now_sec, const InstanceSnapshot& snap)
+  void report_snapshot(int id, double now_sec, const InstanceStats& snap)
       FFSVA_EXCLUDES(mu_);
 
   /// Health gate. Unhealthy instances never receive place_new_stream /

@@ -154,18 +154,15 @@ struct FfsVaConfig {
   int model_call_timeout_ms = 0;
 
   // --- dynamic streams / cluster serving (DESIGN.md §15) -------------------
-  /// Stream-slot capacity for add_stream() DURING run(). 0 (default) keeps
-  /// the classic contract — every stream is registered before run() and the
-  /// set is fixed. > 0 reserves that many slots up front so a control plane
-  /// (an ffsva_node serving hand-offs) can attach streams to a live engine;
-  /// add_stream() then fails once the reservation is exhausted.
+  /// Serve mode and its stream-slot capacity. 0 (default) keeps the classic
+  /// single-shot batch contract: every stream is registered before run(),
+  /// the set is fixed, and run() returns once the last stream drains.
+  /// > 0 serves: run() reserves that many slots up front so a control plane
+  /// (an ffsva_node serving hand-offs) can attach streams to the live
+  /// engine with add_stream(), which fails once the reservation is
+  /// exhausted; the stage workers stay alive when every stream has ended,
+  /// waiting for more, until stop() is called.
   int max_streams = 0;
-  /// Keep the stage workers alive when every registered stream has ended,
-  /// waiting for more streams, until stop() is called. Off (default), run()
-  /// returns once the last stream drains — the single-shot batch contract.
-  /// A node process serving a scheduler turns this on: its engine starts
-  /// empty and serves whatever streams are assigned over its lifetime.
-  bool serve_until_stopped = false;
 
   // --- telemetry -----------------------------------------------------------
   /// Sampling period of the live metrics exporter (JSONL rows): queue

@@ -32,17 +32,6 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-/// A frame in flight, stamped with its ingest time.
-struct Item {
-  video::Frame frame;
-  Clock::time_point ingest;
-  /// Stages this frame wedged (its model call was cancelled by the
-  /// watchdog). A frame that wedges two stages is poisoned: it is dropped
-  /// regardless of the degrade policy, so one pathological input cannot
-  /// keep restarting stage after stage (DESIGN.md Section 14).
-  int wedges = 0;
-};
-
 telemetry::TraceBuffer& trace() { return telemetry::TraceBuffer::global(); }
 
 // Supervision budgets (DESIGN.md Sections 9 and 14).
@@ -100,17 +89,6 @@ void sliced_backoff(int attempt, const Abort& aborted) {
 }
 }  // namespace
 
-/// A survivor bound for the reference stage: the frame plus the candidate
-/// boxes T-YOLO detected in it (frame coordinates). The candidates are what
-/// RefMode::kCropPack consolidates; an empty list (e.g. a kBypass-degraded
-/// frame that was never actually detected) routes the frame to the
-/// full-frame fallback, so it is still fully vetted.
-struct FfsVaInstance::RefEntry {
-  int stream = 0;
-  Item item;
-  std::vector<image::Box> candidates;
-};
-
 const char* to_string(BatchPolicy p) {
   switch (p) {
     case BatchPolicy::kStatic: return "static";
@@ -147,17 +125,13 @@ const char* to_string(DecodePolicy p) {
 StreamStats InstanceStats::aggregate() const {
   StreamStats agg;
   for (const auto& s : streams) {
-    agg.prefetch.in += s.prefetch.in;
-    agg.prefetch.passed += s.prefetch.passed;
-    agg.sdd.in += s.sdd.in;
-    agg.sdd.passed += s.sdd.passed;
-    agg.snm.in += s.snm.in;
-    agg.snm.passed += s.snm.passed;
-    agg.tyolo.in += s.tyolo.in;
-    agg.tyolo.passed += s.tyolo.passed;
-    agg.ref.in += s.ref.in;
-    agg.ref.passed += s.ref.passed;
+    agg.prefetch += s.prefetch;
+    agg.sdd += s.sdd;
+    agg.snm += s.snm;
+    agg.tyolo += s.tyolo;
+    agg.ref += s.ref;
     agg.dropped_at_ingest += s.dropped_at_ingest;
+    agg.terminated += s.terminated;
     agg.latency_ms.merge(s.latency_ms);
     agg.ingest_fps += s.ingest_fps;
     agg.ingest.decode_full += s.ingest.decode_full;
@@ -365,36 +339,31 @@ struct FfsVaInstance::Stream {
     return false;
   }
 
-  /// Reads every counter into a snapshot row: mid-run approximate, exact
-  /// once the stage threads are joined.
-  StreamSnapshot read() const {
-    StreamSnapshot ss;
+  /// Reads every counter into a stats row: mid-run approximate, exact once
+  /// the stage threads are joined. The report-only histograms stay empty.
+  StreamStats read() const {
     const auto ld = [](const std::atomic<std::uint64_t>& a) {
       return a.load(std::memory_order_relaxed);
     };
+    StreamStats ss;
     ss.id = id;
     ss.terminated = ld(terminated);
     ss.ingest_done = ingest_done.load(std::memory_order_acquire);
-    ss.prefetch_in = ld(prefetch_in);
-    ss.prefetch_passed = ld(prefetch_passed);
+    ss.prefetch = {ld(prefetch_in), ld(prefetch_passed)};
     ss.dropped_at_ingest = ld(dropped_ingest);
-    ss.sdd_in = ld(in[kSdd]);
-    ss.sdd_passed = ld(passed[kSdd]);
-    ss.snm_in = ld(in[kSnm]);
-    ss.snm_passed = ld(passed[kSnm]);
-    ss.tyolo_in = ld(in[kTyolo]);
-    ss.tyolo_passed = ld(passed[kTyolo]);
-    ss.ref_in = ld(in[kRef]);
-    ss.ref_passed = ld(passed[kRef]);
+    runtime::StageCounters* stage[kNumStages] = {&ss.sdd, &ss.snm, &ss.tyolo, &ss.ref};
+    for (int st = 0; st < kNumStages; ++st) *stage[st] = {ld(in[st]), ld(passed[st])};
     ss.sdd_queue_depth = sdd_q.depth();
     ss.snm_queue_depth = snm_q.depth();
     ss.tyolo_queue_depth = tyolo_q.depth();
-    ss.decode_full = ld(decode_full);
-    ss.decode_skipped = ld(decode_skipped);
-    ss.hint_passes = ld(hint_passes);
-    ss.hint_fallbacks = ld(hint_fallbacks);
+    const double iw = ingest_wall_sec.load(std::memory_order_relaxed);
+    if (iw > 0.0) ss.ingest_fps = static_cast<double>(ss.prefetch.passed) / iw;
+    ss.ingest.decode_full = ld(decode_full);
+    ss.ingest.decode_skipped = ld(decode_skipped);
+    ss.ingest.hint_passes = ld(hint_passes);
+    ss.ingest.hint_fallbacks = ld(hint_fallbacks);
     if (const auto cs = source->codec_stats()) {
-      ss.compression_ratio = cs->compression_ratio();
+      ss.ingest.compression_ratio = cs->compression_ratio();
     }
     ss.fault.decode_errors = ld(decode_errors);
     ss.fault.retries = ld(retries);
@@ -408,16 +377,9 @@ struct FfsVaInstance::Stream {
   }
 };
 
-struct FfsVaInstance::TYoloShared {
-  runtime::BoundedQueue<RefEntry> ref_q;
-  AdmissionController admission;
-  explicit TYoloShared(const FfsVaConfig& cfg)
-      : ref_q(static_cast<std::size_t>(cfg.capacity(cfg.ref_queue_depth))),
-        admission(cfg.admit_tyolo_fps, cfg.admit_window_sec) {}
-};
-
 FfsVaInstance::FfsVaInstance(FfsVaConfig config)
-    : config_(config), tyolo_shared_(std::make_unique<TYoloShared>(config)) {}
+    : config_(config),
+      ref_q_(static_cast<std::size_t>(config.capacity(config.ref_queue_depth))) {}
 
 FfsVaInstance::~FfsVaInstance() = default;
 
@@ -441,14 +403,11 @@ int FfsVaInstance::add_stream(std::unique_ptr<video::FrameSource> source,
         "FfsVaInstance::add_stream: engine is not accepting streams "
         "(run finished or stopping)");
   }
-  if (!config_.serve_until_stopped) {
+  if (config_.max_streams <= 0 ||
+      static_cast<std::size_t>(id) >= streams_.capacity()) {
     throw std::logic_error(
-        "FfsVaInstance::add_stream: mid-run add requires "
-        "config.serve_until_stopped");
-  }
-  if (static_cast<std::size_t>(id) >= streams_.capacity()) {
-    throw std::logic_error(
-        "FfsVaInstance::add_stream: config.max_streams slots exhausted");
+        "FfsVaInstance::add_stream: mid-run add needs a free "
+        "config.max_streams slot");
   }
   // Same pre-thread setup run() performs for the initial streams: wire the
   // stage wakeups and resolve the fused hinted-ingest path before the
@@ -633,11 +592,11 @@ void FfsVaInstance::wire_metrics() {
   metrics_.gauge("queue.snm", depth_sum(&Stream::snm_q));
   metrics_.gauge("queue.tyolo", depth_sum(&Stream::tyolo_q));
   metrics_.gauge("queue.ref",
-                 [this] { return static_cast<double>(tyolo_shared_->ref_q.depth()); });
+                 [this] { return static_cast<double>(ref_q_.depth()); });
 }
 
-InstanceSnapshot FfsVaInstance::snapshot() const {
-  InstanceSnapshot snap;
+InstanceStats FfsVaInstance::snapshot() const {
+  InstanceStats snap;
   snap.running = running_.load(std::memory_order_acquire);
   const std::int64_t t0 = run_t0_ns_.load(std::memory_order_relaxed);
   if (t0 > 0) {
@@ -650,25 +609,18 @@ InstanceSnapshot FfsVaInstance::snapshot() const {
   const int n = num_streams();
   snap.streams.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    StreamSnapshot ss = streams_[static_cast<std::size_t>(i)]->read();
-    const FaultStats& f = ss.fault;
-    if (f.quarantined) {
+    const StreamStats& ss =
+        snap.streams.emplace_back(streams_[static_cast<std::size_t>(i)]->read());
+    if (ss.fault.quarantined) {
       ++h.quarantined_streams;
-    } else if (f.any()) {
+    } else if (ss.fault.any()) {
       ++h.degraded_streams;
     } else {
       ++h.healthy_streams;
     }
-    h.decode_errors += f.decode_errors;
-    h.retries += f.retries;
-    h.restarts += f.restarts;
-    h.degraded_frames += f.degraded_frames;
-    h.discarded_frames += f.discarded_frames;
-    h.poisoned_frames += f.poisoned_frames;
-    snap.outputs += ss.ref_passed;
-    snap.streams.push_back(std::move(ss));
+    snap.outputs += ss.ref.passed;
   }
-  snap.ref_queue_depth = tyolo_shared_->ref_q.depth();
+  snap.ref_queue_depth = ref_q_.depth();
   h.cancels = cancels_.load(std::memory_order_relaxed);
   h.stage_restarts = stage_restarts_.load(std::memory_order_relaxed);
   h.stage_stall_ticks = stage_stall_ticks_.load(std::memory_order_relaxed);
@@ -849,7 +801,8 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
       limiter.acquire();
       // Overload behaviour: a live camera cannot block — if the pipeline
       // cannot absorb the frame within one frame time, the frame is lost
-      // and counted (the admission controller re-forwards such streams).
+      // and counted (ClusterManager re-forwards an overloaded instance's
+      // streams from its snapshots).
       if (!s->sdd_q.push_for(std::move(item), frame_interval)) {
         if (s->sdd_q.closed()) {
           // stop()/quarantine closed it under us; the ingested frame is lost.
@@ -971,7 +924,7 @@ bool FfsVaInstance::sdd_worker_loop(int worker, bool allow_restart) {
       // pool parks here waiting for the next add_stream() (whose notify
       // races safely against this wait via the prepared ticket); otherwise
       // — or once stop is requested — the run is over.
-      if (!config_.serve_until_stopped || stop_.stop_requested()) return true;
+      if (config_.max_streams <= 0 || stop_.stop_requested()) return true;
       sdd_work_.wait(ticket);
       continue;
     }
@@ -1017,7 +970,7 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
       progressed = true;
       if (s.quarantined.load(std::memory_order_acquire)) {
         s.finish(Fate::kDiscard, *item);
-        continue;  // drain, but don't run the model or feed admission
+        continue;  // drain, but don't run the model
       }
       s.enter(kTyolo);
       // Keep the detections, not just the verdict: the boxes are the
@@ -1034,7 +987,7 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
       if (c != Call::kOk) pass = s.fault_verdict(*item, c, /*may_bypass=*/true);
       ++served;
       const auto to_ref = [&](Item& it) {
-        return tyolo_shared_->ref_q.push({s.id, std::move(it), det.boxes()});
+        return ref_q_.push({s.id, std::move(it), det.boxes()});
       };
       // A failed push means ref_q closed underneath us (shutdown).
       if (!s.route(kTyolo, pass, *item, to_ref)) running = false;
@@ -1049,9 +1002,6 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
     if (served > 0) {
       hot_.tyolo_picks->add();
       hot_.tyolo_take->record(static_cast<double>(served));
-      const double now =
-          std::chrono::duration<double>(Clock::now().time_since_epoch()).count();
-      tyolo_shared_->admission.on_tyolo_served(now, served);
     }
     return progressed;
   };
@@ -1164,7 +1114,7 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
         // waiting for the next add_stream() (its notify pairs with the
         // prepared ticket); otherwise — or once stop is requested — the
         // run is over.
-        if (!config_.serve_until_stopped || stop_.stop_requested()) break;
+        if (config_.max_streams <= 0 || stop_.stop_requested()) break;
         if (!did_work) gpu0_work_.wait(ticket);
         continue;
       }
@@ -1177,7 +1127,6 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
 
 bool FfsVaInstance::reference_loop(bool allow_restart,
                                    std::vector<RefEntry>& pending) {
-  auto& ref_q = tyolo_shared_->ref_q;
   // Drain ref_q under a second DynamicBatcher (via BatchDrain, reusing the
   // run's BatchPolicy) into cross-stream batches, then evaluate each batch
   // in one go — detect_batch under kBatch, crop-consolidated mosaics under
@@ -1204,8 +1153,8 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
     // Non-blocking top-up to the batch cap. Observe close *before* the
     // failed pop so an empty pop on a closed queue means end-of-stream.
     while (static_cast<int>(pending.size()) < drain.batch_size() && !ended) {
-      const bool closed = ref_q.closed();
-      auto e = ref_q.try_pop();
+      const bool closed = ref_q_.closed();
+      auto e = ref_q_.try_pop();
       if (!e) {
         if (closed) ended = true;
         break;
@@ -1215,7 +1164,7 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
     const auto step = drain.next(static_cast<int>(pending.size()), ended);
     if (step.block) {
       // The policy wants a fuller batch: sleep on the queue, never poll.
-      auto e = ref_q.pop();
+      auto e = ref_q_.pop();
       if (!e) {
         ended = true;
         continue;
@@ -1403,7 +1352,7 @@ void FfsVaInstance::supervise(Clock::time_point t0) {
 }
 
 InstanceStats FfsVaInstance::run(bool online) {
-  const bool serve = config_.serve_until_stopped;
+  const bool serve = config_.max_streams > 0;
   if (streams_.empty() && !serve) {
     throw std::invalid_argument("FfsVaInstance::run: no streams registered");
   }
@@ -1471,11 +1420,9 @@ InstanceStats FfsVaInstance::run(bool online) {
   }
   running_.store(true, std::memory_order_release);
   // A serving engine cannot size its pool by the (changing, possibly zero)
-  // stream count — it keeps a full pool parked on the eventcount instead.
-  const int workers = serve ? (config_.sdd_workers > 0
-                                   ? config_.sdd_workers
-                                   : runtime::compute_parallelism())
-                            : sdd_pool_size(unfused);
+  // stream count — it sizes it for its slot reservation instead, parked on
+  // the eventcount until streams arrive.
+  const int workers = sdd_pool_size(serve ? config_.max_streams : unfused);
   sdd_hb_ = std::vector<runtime::Heartbeat>(static_cast<std::size_t>(workers));
   sdd_call_ = std::vector<runtime::InflightCall>(static_cast<std::size_t>(workers));
 
@@ -1503,7 +1450,7 @@ InstanceStats FfsVaInstance::run(bool online) {
     run_stage(gpu0_call_, [this](bool r) { return gpu0_loop(r); });
     // Single exit: the reference stage always sees end-of-stream, whatever
     // path brought the executor down — and never before its final restart.
-    tyolo_shared_->ref_q.close();
+    ref_q_.close();
   });
   threads.emplace_back([this] {
     std::vector<RefEntry> pending;  // see reference_loop
@@ -1555,33 +1502,16 @@ InstanceStats FfsVaInstance::run(bool online) {
   running_.store(false, std::memory_order_release);
 
   // Every thread is joined, so the snapshot is exact: it is the run's
-  // report, frozen.
-  InstanceStats out;
+  // report, frozen, plus what only the join makes safe to read — the
+  // single-owner latency histograms and the decode histogram.
+  InstanceStats out = snapshot();
   out.wall_sec = wall.elapsed_sec();
-  const InstanceSnapshot snap = snapshot();
-  out.health = snap.health;
   std::uint64_t ingested = 0;
-  for (const StreamSnapshot& ss : snap.streams) {
-    const Stream& s = *streams_[static_cast<std::size_t>(ss.id)];
-    StreamStats st;
-    st.prefetch = {ss.prefetch_in, ss.prefetch_passed};
-    st.sdd = {ss.sdd_in, ss.sdd_passed};
-    st.snm = {ss.snm_in, ss.snm_passed};
-    st.tyolo = {ss.tyolo_in, ss.tyolo_passed};
-    st.ref = {ss.ref_in, ss.ref_passed};
-    st.dropped_at_ingest = ss.dropped_at_ingest;
-    st.ingest.decode_full = ss.decode_full;
-    st.ingest.decode_skipped = ss.decode_skipped;
-    st.ingest.hint_passes = ss.hint_passes;
-    st.ingest.hint_fallbacks = ss.hint_fallbacks;
-    st.ingest.compression_ratio = ss.compression_ratio;
-    st.ingest.decode_ms = s.decode_ms.snapshot();
-    st.fault = ss.fault;
+  for (StreamStats& st : out.streams) {
+    const Stream& s = *streams_[static_cast<std::size_t>(st.id)];
     for (const auto& h : s.lat) st.latency_ms.merge(h);
-    const double iw = s.ingest_wall_sec.load(std::memory_order_relaxed);
-    if (iw > 0.0) st.ingest_fps = static_cast<double>(st.prefetch.passed) / iw;
+    st.ingest.decode_ms = s.decode_ms.snapshot();
     ingested += st.prefetch.passed;
-    out.streams.push_back(std::move(st));
   }
   out.total_throughput_fps =
       out.wall_sec > 0.0 ? static_cast<double>(ingested) / out.wall_sec : 0.0;

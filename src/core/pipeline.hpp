@@ -93,36 +93,50 @@ struct IngestStats {
   telemetry::HistogramSnapshot decode_ms;  ///< Decode-stage latency (per frame).
 };
 
+/// One stream's counters: the row snapshot() polls live, the wire carries
+/// (DESIGN.md §15) and run() reports. Every field is read from a relaxed
+/// atomic (or a mutex-guarded queue depth), so a mid-run row is internally
+/// *approximate* — counters may be skewed by in-flight frames — and exact
+/// once run() has returned. `latency_ms` and `ingest.decode_ms` are
+/// report-only: run() fills them after the join, snapshot() leaves them
+/// empty.
 struct StreamStats {
+  int id = 0;
   runtime::StageCounters prefetch;  ///< in = source frames, passed = ingested.
   runtime::StageCounters sdd;
   runtime::StageCounters snm;
   runtime::StageCounters tyolo;
   runtime::StageCounters ref;       ///< in = frames reaching reference model.
   std::uint64_t dropped_at_ingest = 0;
-  runtime::Histogram latency_ms;    ///< Terminal latency of every ingested frame.
-  double ingest_fps = 0.0;          ///< Realized ingest rate.
+  /// Frames that reached a terminal outcome (emitted, dropped by a filter,
+  /// dropped at ingest, discarded, or poisoned). Every ingested frame
+  /// terminates exactly once, so `ingest_done && terminated == prefetch.in`
+  /// is the stream-quiescent predicate a hand-off waits on (DESIGN.md §15).
+  std::uint64_t terminated = 0;
+  /// The stream's prefetch thread has exited (source ended, end_stream()
+  /// cut, or fault escalation) — no further frames will be ingested.
+  bool ingest_done = false;
+  std::size_t sdd_queue_depth = 0;
+  std::size_t snm_queue_depth = 0;
+  std::size_t tyolo_queue_depth = 0;
+  double ingest_fps = 0.0;          ///< Realized ingest rate (0 until ingest_done).
   IngestStats ingest;
   FaultStats fault;
+  runtime::Histogram latency_ms;    ///< Terminal latency of every ingested frame.
 };
 
 /// Instance-level health rollup: how many streams finished clean, how many
-/// saw (survivable) faults, how many the watchdog had to quarantine.
+/// saw (survivable) faults, how many the watchdog had to quarantine, plus
+/// the supervision facts no stream counter holds. Per-frame fault totals
+/// are aggregate().fault.
 struct HealthSummary {
   int healthy_streams = 0;      ///< No fault counter ticked.
   int degraded_streams = 0;     ///< Faults observed, stream completed.
   int quarantined_streams = 0;  ///< Quarantined by the watchdog.
-  std::uint64_t decode_errors = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t restarts = 0;
-  std::uint64_t degraded_frames = 0;
-  std::uint64_t discarded_frames = 0;
   /// Escalation counters (DESIGN.md Section 14): model calls the watchdog
-  /// cancelled, stage restarts taken after a cancel, and frames dropped as
-  /// poisoned after wedging two stages.
+  /// cancelled and stage restarts taken after a cancel.
   std::uint64_t cancels = 0;
   std::uint64_t stage_restarts = 0;
-  std::uint64_t poisoned_frames = 0;
   /// Watchdog ticks on which a *shared* stage (an SDD worker, the GPU0
   /// executor, the reference thread) was busy past the stall timeout.
   /// Shared stages cannot be quarantined per stream; with
@@ -133,63 +147,27 @@ struct HealthSummary {
   bool deadline_hit = false;  ///< run_deadline_ms expired.
 };
 
+/// The instance record: what snapshot() returns mid-run (the observable
+/// state a control plane — the metrics exporter, ClusterManager
+/// re-forwarding — polls) and what run() returns once every thread joined.
+/// `wall_sec` and `total_throughput_fps` are report-only, like the
+/// per-stream histograms.
 struct InstanceStats {
-  std::vector<StreamStats> streams;
-  double wall_sec = 0.0;
-  double total_throughput_fps = 0.0;  ///< Ingested frames / wall seconds.
-  HealthSummary health;
-
-  StreamStats aggregate() const;
-};
-
-/// Point-in-time view of one stream, safe to take while the run is live.
-/// Every field is read from a relaxed atomic (or a mutex-guarded queue
-/// depth), so a mid-run snapshot is internally *approximate* — counters may
-/// be skewed by in-flight frames — and exact once run() has returned.
-struct StreamSnapshot {
-  int id = 0;
-  std::uint64_t prefetch_in = 0;
-  std::uint64_t prefetch_passed = 0;
-  std::uint64_t dropped_at_ingest = 0;
-  std::uint64_t sdd_in = 0, sdd_passed = 0;
-  std::uint64_t snm_in = 0, snm_passed = 0;
-  std::uint64_t tyolo_in = 0, tyolo_passed = 0;
-  std::uint64_t ref_in = 0, ref_passed = 0;
-  /// Frames that reached a terminal outcome (emitted, dropped by a filter,
-  /// dropped at ingest, discarded, or poisoned). Every ingested frame
-  /// terminates exactly once, so `ingest_done && terminated == prefetch_in`
-  /// is the stream-quiescent predicate a hand-off waits on (DESIGN.md §15).
-  std::uint64_t terminated = 0;
-  /// The stream's prefetch thread has exited (source ended, end_stream()
-  /// cut, or fault escalation) — no further frames will be ingested.
-  bool ingest_done = false;
-  std::size_t sdd_queue_depth = 0;
-  std::size_t snm_queue_depth = 0;
-  std::size_t tyolo_queue_depth = 0;
-  /// Codec-aware ingest counters (see IngestStats for field semantics).
-  std::uint64_t decode_full = 0;
-  std::uint64_t decode_skipped = 0;
-  std::uint64_t hint_passes = 0;
-  std::uint64_t hint_fallbacks = 0;
-  double compression_ratio = 0.0;  ///< Source bitstream raw/encoded (0 = n/a).
-  FaultStats fault;
-};
-
-/// Instance-wide live snapshot: the observable state a control plane (the
-/// metrics exporter, ClusterManager re-forwarding) polls during a run.
-struct InstanceSnapshot {
   bool running = false;  ///< A run() is currently in flight.
   double t_sec = 0.0;    ///< Seconds since run() started (0 before).
-  std::vector<StreamSnapshot> streams;
+  std::vector<StreamStats> streams;
   std::size_t ref_queue_depth = 0;
   std::uint64_t outputs = 0;          ///< Frames emitted by the reference stage.
-  HealthSummary health;               ///< Mid-run rollup (same caveats as above).
+  HealthSummary health;
+  double wall_sec = 0.0;
+  double total_throughput_fps = 0.0;  ///< Ingested frames / wall seconds.
 
+  StreamStats aggregate() const;
   /// Total frames served by the T-YOLO stage across streams (the cluster
   /// admission signal: its rate of change is the T-YOLO service speed).
   std::uint64_t tyolo_served() const {
     std::uint64_t n = 0;
-    for (const auto& s : streams) n += s.tyolo_in;
+    for (const auto& s : streams) n += s.tyolo.in;
     return n;
   }
   /// Largest filter-queue depth across streams (overload indicator).
@@ -211,8 +189,8 @@ class FfsVaInstance {
   FfsVaInstance& operator=(const FfsVaInstance&) = delete;
 
   /// Register a stream. Before run() this is always legal (the classic
-  /// contract). DURING run() it requires config.serve_until_stopped and a
-  /// config.max_streams reservation with a free slot: the stream is attached
+  /// contract). DURING run() it requires a serving engine
+  /// (config.max_streams > 0) with a free slot: the stream is attached
   /// to the live engine — its prefetch thread starts immediately and the
   /// stage workers pick it up — which is how a node accepts a hand-off
   /// (DESIGN.md §15). Throws std::logic_error when the engine cannot accept
@@ -247,9 +225,9 @@ class FfsVaInstance {
   ///
   /// Single-shot: a second invocation throws std::logic_error (the engine's
   /// queues and counters are consumed by a run). An instance with no
-  /// registered streams throws std::invalid_argument — unless
-  /// config.serve_until_stopped is set, in which case an empty engine
-  /// starts, waits for add_stream(), and serves until stop().
+  /// registered streams throws std::invalid_argument — unless it serves
+  /// (config.max_streams > 0), in which case an empty engine starts, waits
+  /// for add_stream(), and serves until stop().
   InstanceStats run(bool online);
 
   /// Request a graceful shutdown of an in-flight run() from any thread:
@@ -281,8 +259,9 @@ class FfsVaInstance {
 
   /// Thread-safe live snapshot: callable from any thread before, during, or
   /// after run(). Mid-run values are relaxed-atomic reads (see
-  /// StreamSnapshot); after run() returns they match the InstanceStats.
-  InstanceSnapshot snapshot() const;
+  /// StreamStats); after run() returns they match run()'s report minus its
+  /// report-only fields. Allocates only the stream rows.
+  InstanceStats snapshot() const;
 
   /// The instance's metrics registry (counters/gauges/histograms the stage
   /// threads record into). Snapshot it directly, or let the exporter below
@@ -311,7 +290,26 @@ class FfsVaInstance {
 
  private:
   struct Stream;
-  struct RefEntry;
+  /// A frame in flight, stamped with its ingest time.
+  struct Item {
+    video::Frame frame;
+    std::chrono::steady_clock::time_point ingest;
+    /// Stages this frame wedged (its model call was cancelled by the
+    /// watchdog). A frame that wedges two stages is poisoned: it is dropped
+    /// regardless of the degrade policy, so one pathological input cannot
+    /// keep restarting stage after stage (DESIGN.md Section 14).
+    int wedges = 0;
+  };
+  /// A survivor bound for the reference stage: the frame plus the candidate
+  /// boxes T-YOLO detected in it (frame coordinates). The candidates are
+  /// what RefMode::kCropPack consolidates; an empty list (e.g. a
+  /// kBypass-degraded frame that was never actually detected) routes the
+  /// frame to the full-frame fallback, so it is still fully vetted.
+  struct RefEntry {
+    int stream = 0;
+    Item item;
+    std::vector<image::Box> candidates;
+  };
 
   /// Static + shared_ptr: the prefetch loop touches only the Stream it
   /// co-owns (and, through it, the registry handles every stage records
@@ -346,7 +344,8 @@ class FfsVaInstance {
   /// Resolved SDD pool size: config.sdd_workers, or the FFSVA_THREADS
   /// compute parallelism, capped by `eligible_streams` (the streams the
   /// pool actually serves — fused hinted-ingest streams run their SDD on
-  /// their own prefetch thread and never touch the pool).
+  /// their own prefetch thread and never touch the pool; a serving engine
+  /// passes its slot reservation).
   int sdd_pool_size(int eligible_streams) const;
 
   /// Register the run's gauges (queue depths, fault counters, supervision
@@ -416,8 +415,8 @@ class FfsVaInstance {
   runtime::InflightCall gpu0_call_;
   runtime::InflightCall ref_call_;
 
-  struct TYoloShared;
-  std::unique_ptr<TYoloShared> tyolo_shared_;
+  /// Every stream's T-YOLO survivors, bound for the reference stage.
+  runtime::BoundedQueue<RefEntry> ref_q_;
 
   // Telemetry. The registry lives in the instance; every stage thread —
   // prefetch included — joins before run() returns, so instance lifetime

@@ -21,7 +21,9 @@
 namespace ffsva::net {
 
 inline constexpr std::uint32_t kWireMagic = 0x46465356u;  // "FFSV"
-inline constexpr std::uint16_t kWireVersion = 1;
+/// Bumped whenever a payload schema changes (2: the kSnapshot record lost
+/// HealthSummary's six per-frame fault totals and gained ingest_fps).
+inline constexpr std::uint16_t kWireVersion = 2;
 /// Payload cap. Snapshots are ~100 B/stream, specs are smaller; anything
 /// near this bound is a corrupt or hostile length field, not a real frame.
 inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
@@ -33,7 +35,7 @@ enum class MsgType : std::uint16_t {
   kHelloAck = 2,     ///< Server accepts the handshake.
   kHelloReject = 3,  ///< Server refuses (version mismatch); connection ends.
   kHeartbeat = 4,    ///< Liveness probe; echoed by the peer.
-  kSnapshot = 5,     ///< Serialized core::InstanceSnapshot (telemetry).
+  kSnapshot = 5,     ///< Serialized core::InstanceStats (telemetry).
   kAssignStream = 6, ///< Stream hand-off: spec + config + resume cursor.
   kAssignAck = 7,    ///< Node accepted the stream (engine id inside).
   kEndStream = 8,    ///< Scheduler cuts a stream's ingest on the node.

@@ -210,6 +210,12 @@ void ClusterScheduler::poll_snapshots(double now_sec) {
         const auto snap = parse_snapshot(frame->payload);
         if (snap) {
           manager_.report_snapshot(static_cast<int>(i), now_sec, *snap);
+          for (const core::StreamStats& row : snap->streams) {
+            const auto it = streams_.find(static_cast<std::uint32_t>(row.id));
+            if (it != streams_.end() && it->second.node == static_cast<int>(i)) {
+              it->second.polled = row;
+            }
+          }
           report_.snapshot_frames += 1;
         }
         break;
@@ -301,10 +307,12 @@ ClusterReport ClusterScheduler::run(const std::vector<StreamSpec>& specs) {
       poll_snapshots(now_sec());
     }
 
-    if (opts_.force_migration_at_sec >= 0.0 && !forced_done_ &&
-        now_sec() >= opts_.force_migration_at_sec) {
+    if (opts_.force_migration_after > 0 && !forced_done_) {
       for (const auto& [id, st] : streams_) {
-        if (st.done || st.draining || st.node < 0) continue;
+        if (st.done || st.draining || st.node < 0 || st.polled.ingest_done ||
+            st.polled.prefetch.in < opts_.force_migration_after) {
+          continue;
+        }
         forced_done_ = true;
         start_migration(id,
                         (st.node + 1) % static_cast<int>(clients_.size()));
@@ -344,8 +352,7 @@ ClusterReport ClusterScheduler::run(const std::vector<StreamSpec>& specs) {
 std::vector<StreamOutcome> run_local(const std::vector<StreamSpec>& specs,
                                      const core::FfsVaConfig& config) {
   core::FfsVaConfig cfg = config;
-  cfg.serve_until_stopped = false;
-  cfg.max_streams = 0;
+  cfg.max_streams = 0;  // batch mode: run() returns once every stream drains
   core::FfsVaInstance inst(cfg);
   for (const StreamSpec& spec : specs) {
     MaterializedStream m = materialize(spec);

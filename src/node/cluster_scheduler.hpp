@@ -6,7 +6,7 @@
 //   * initial placement   place_new_stream() picks a node; the spec goes
 //                         out as kAssignStream.
 //   * load feedback       every snapshot_interval_ms each node's
-//                         InstanceSnapshot is polled and folded into the
+//                         InstanceStats snapshot is polled and folded into the
 //                         manager (report_snapshot), which keeps the
 //                         admission windows and overload signals live.
 //   * re-forwarding       next_reforward() decisions become real hand-offs:
@@ -45,9 +45,12 @@ struct SchedOptions {
   /// signal would ping-pong streams between saturated nodes every loop;
   /// the gap bounds the churn without touching the policy itself.
   double reforward_min_gap_sec = 2.0;
-  /// Seconds after start at which one forced hand-off is injected (the
-  /// cluster-smoke / CI migration exercise). Negative disables.
-  double force_migration_at_sec = -1.0;
+  /// One forced hand-off (the cluster-smoke / CI migration exercise): the
+  /// first stream whose latest polled snapshot row shows at least this many
+  /// ingested frames, with its ingest still live, moves to the next node.
+  /// A progress trigger, not a wall-clock one, so the move lands mid-stream
+  /// however fast the nodes run. 0 disables.
+  std::uint64_t force_migration_after = 0;
   /// Give-up deadline for the whole run (0 = none). A wedged node trips
   /// this instead of hanging the scheduler forever.
   double deadline_sec = 0.0;
@@ -96,6 +99,7 @@ class ClusterScheduler {
     bool done = false;
     std::int64_t drain_t0_ms = 0;  ///< Hand-off latency clock.
     int pending_target = -1;   ///< Where the remainder goes (-1: natural end).
+    core::StreamStats polled;  ///< Latest snapshot row from the serving node.
     StreamOutcome outcome;
   };
 

@@ -17,8 +17,7 @@ namespace {
 
 core::FfsVaConfig node_config(const NodeOptions& opts) {
   core::FfsVaConfig cfg = opts.config;
-  cfg.serve_until_stopped = true;
-  cfg.max_streams = std::max(opts.max_streams, 1);
+  cfg.max_streams = std::max(opts.max_streams, 1);  // > 0: serve mode
   return cfg;
 }
 
@@ -207,20 +206,15 @@ void NodeServer::poll_quiesced(net::Channel* ch) {
       candidates.push_back({gid, owned});
     }
   }
-  if (candidates.empty()) return;
-  const core::InstanceSnapshot snap = inst_.snapshot();
   for (const auto& c : candidates) {
     if (!inst_.stream_quiesced(c.owned.local_id)) continue;
     // Quiescence is exact: ingest stopped and every ingested frame reached
     // a terminal outcome, the last one *after* its output was delivered to
-    // the sink — so the emitted set harvested below is complete.
-    std::uint64_t ingested = 0;
-    for (const auto& ss : snap.streams) {
-      if (ss.id == c.owned.local_id) {
-        ingested = ss.prefetch_in;
-        break;
-      }
-    }
+    // the sink — so the emitted set harvested below is complete, and the
+    // row read now (never before the check) holds the final ingest count.
+    // Engine-local ids index the snapshot's rows.
+    const auto row = static_cast<std::size_t>(c.owned.local_id);
+    const std::uint64_t ingested = inst_.snapshot().streams[row].prefetch.in;
     StreamResults results;
     results.stream_id = c.gid;
     {
@@ -256,10 +250,10 @@ void NodeServer::poll_quiesced(net::Channel* ch) {
   }
 }
 
-core::InstanceSnapshot NodeServer::global_snapshot() {
-  core::InstanceSnapshot snap = inst_.snapshot();
+core::InstanceStats NodeServer::global_snapshot() {
+  core::InstanceStats snap = inst_.snapshot();
   runtime::MutexLock lk(mu_);
-  std::vector<core::StreamSnapshot> visible;
+  std::vector<core::StreamStats> visible;
   visible.reserve(snap.streams.size());
   for (auto& ss : snap.streams) {
     const auto it = local_to_global_.find(ss.id);

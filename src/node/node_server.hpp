@@ -12,7 +12,7 @@
 //                       cursor) — naturally finished streams report the
 //                       same way, with cursor == spec.end.
 //   * snapshot exchange kSnapshot → kSnapshot carrying the engine's own
-//                       InstanceSnapshot (ids translated to cluster-global),
+//                       InstanceStats (ids translated to cluster-global),
 //                       which the scheduler feeds to ClusterManager.
 //   * drain/stop        kDrain ends every stream; kStop stops the engine,
 //                       answers kStopAck, and serve() returns.
@@ -93,7 +93,7 @@ class NodeServer {
   void poll_quiesced(net::Channel* ch);
   /// Engine snapshot with stream ids translated local → global; streams
   /// already reported (handed off / finished) are dropped from the view.
-  core::InstanceSnapshot global_snapshot();
+  core::InstanceStats global_snapshot();
   void wire_node_metrics();
 
   NodeOptions opts_;

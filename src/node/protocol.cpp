@@ -52,48 +52,43 @@ bool read_fault(std::istream& is, core::FaultStats* f) {
          r(is, &f->poisoned_frames) && r_bool(is, &f->quarantined);
 }
 
-void write_stream(std::ostream& os, const core::StreamSnapshot& s) {
-  const auto id = static_cast<std::int32_t>(s.id);
-  w(os, id);
-  w(os, s.prefetch_in);
-  w(os, s.prefetch_passed);
+void write_stream(std::ostream& os, const core::StreamStats& s) {
+  w(os, static_cast<std::int32_t>(s.id));
+  for (const auto* c : {&s.prefetch, &s.sdd, &s.snm, &s.tyolo, &s.ref}) {
+    w(os, c->in);
+    w(os, c->passed);
+  }
   w(os, s.dropped_at_ingest);
-  w(os, s.sdd_in);
-  w(os, s.sdd_passed);
-  w(os, s.snm_in);
-  w(os, s.snm_passed);
-  w(os, s.tyolo_in);
-  w(os, s.tyolo_passed);
-  w(os, s.ref_in);
-  w(os, s.ref_passed);
   w(os, s.terminated);
   w_bool(os, s.ingest_done);
   w(os, static_cast<std::uint64_t>(s.sdd_queue_depth));
   w(os, static_cast<std::uint64_t>(s.snm_queue_depth));
   w(os, static_cast<std::uint64_t>(s.tyolo_queue_depth));
-  w(os, s.decode_full);
-  w(os, s.decode_skipped);
-  w(os, s.hint_passes);
-  w(os, s.hint_fallbacks);
-  w(os, s.compression_ratio);
+  w(os, s.ingest_fps);
+  w(os, s.ingest.decode_full);
+  w(os, s.ingest.decode_skipped);
+  w(os, s.ingest.hint_passes);
+  w(os, s.ingest.hint_fallbacks);
+  w(os, s.ingest.compression_ratio);
   write_fault(os, s.fault);
 }
 
-bool read_stream(std::istream& is, core::StreamSnapshot* s) {
+bool read_stream(std::istream& is, core::StreamStats* s) {
   std::int32_t id = 0;
+  if (!r(is, &id)) return false;
+  s->id = id;
+  for (auto* c : {&s->prefetch, &s->sdd, &s->snm, &s->tyolo, &s->ref}) {
+    if (!(r(is, &c->in) && r(is, &c->passed))) return false;
+  }
   std::uint64_t sddq = 0, snmq = 0, tyq = 0;
-  if (!(r(is, &id) && r(is, &s->prefetch_in) && r(is, &s->prefetch_passed) &&
-        r(is, &s->dropped_at_ingest) && r(is, &s->sdd_in) &&
-        r(is, &s->sdd_passed) && r(is, &s->snm_in) && r(is, &s->snm_passed) &&
-        r(is, &s->tyolo_in) && r(is, &s->tyolo_passed) && r(is, &s->ref_in) &&
-        r(is, &s->ref_passed) && r(is, &s->terminated) &&
+  if (!(r(is, &s->dropped_at_ingest) && r(is, &s->terminated) &&
         r_bool(is, &s->ingest_done) && r(is, &sddq) && r(is, &snmq) &&
-        r(is, &tyq) && r(is, &s->decode_full) && r(is, &s->decode_skipped) &&
-        r(is, &s->hint_passes) && r(is, &s->hint_fallbacks) &&
-        r(is, &s->compression_ratio) && read_fault(is, &s->fault))) {
+        r(is, &tyq) && r(is, &s->ingest_fps) && r(is, &s->ingest.decode_full) &&
+        r(is, &s->ingest.decode_skipped) && r(is, &s->ingest.hint_passes) &&
+        r(is, &s->ingest.hint_fallbacks) && r(is, &s->ingest.compression_ratio) &&
+        read_fault(is, &s->fault))) {
     return false;
   }
-  s->id = id;
   s->sdd_queue_depth = static_cast<std::size_t>(sddq);
   s->snm_queue_depth = static_cast<std::size_t>(snmq);
   s->tyolo_queue_depth = static_cast<std::size_t>(tyq);
@@ -104,14 +99,8 @@ void write_health(std::ostream& os, const core::HealthSummary& h) {
   w(os, static_cast<std::int32_t>(h.healthy_streams));
   w(os, static_cast<std::int32_t>(h.degraded_streams));
   w(os, static_cast<std::int32_t>(h.quarantined_streams));
-  w(os, h.decode_errors);
-  w(os, h.retries);
-  w(os, h.restarts);
-  w(os, h.degraded_frames);
-  w(os, h.discarded_frames);
   w(os, h.cancels);
   w(os, h.stage_restarts);
-  w(os, h.poisoned_frames);
   w(os, h.stage_stall_ticks);
   w_bool(os, h.stopped);
   w_bool(os, h.deadline_hit);
@@ -120,11 +109,9 @@ void write_health(std::ostream& os, const core::HealthSummary& h) {
 bool read_health(std::istream& is, core::HealthSummary* h) {
   std::int32_t healthy = 0, degraded = 0, quarantined = 0;
   if (!(r(is, &healthy) && r(is, &degraded) && r(is, &quarantined) &&
-        r(is, &h->decode_errors) && r(is, &h->retries) && r(is, &h->restarts) &&
-        r(is, &h->degraded_frames) && r(is, &h->discarded_frames) &&
         r(is, &h->cancels) && r(is, &h->stage_restarts) &&
-        r(is, &h->poisoned_frames) && r(is, &h->stage_stall_ticks) &&
-        r_bool(is, &h->stopped) && r_bool(is, &h->deadline_hit))) {
+        r(is, &h->stage_stall_ticks) && r_bool(is, &h->stopped) &&
+        r_bool(is, &h->deadline_hit))) {
     return false;
   }
   h->healthy_streams = healthy;
@@ -228,7 +215,7 @@ std::optional<StreamResults> StreamResults::parse(std::string_view payload) {
   return res;
 }
 
-std::string serialize_snapshot(const core::InstanceSnapshot& snap) {
+std::string serialize_snapshot(const core::InstanceStats& snap) {
   std::ostringstream os;
   w_bool(os, snap.running);
   w(os, snap.t_sec);
@@ -240,9 +227,9 @@ std::string serialize_snapshot(const core::InstanceSnapshot& snap) {
   return std::move(os).str();
 }
 
-std::optional<core::InstanceSnapshot> parse_snapshot(std::string_view payload) {
+std::optional<core::InstanceStats> parse_snapshot(std::string_view payload) {
   std::istringstream is{std::string(payload)};
-  core::InstanceSnapshot snap;
+  core::InstanceStats snap;
   std::uint64_t refq = 0;
   std::uint32_t n = 0;
   if (!r_bool(is, &snap.running) || !r(is, &snap.t_sec) || !r(is, &refq) ||

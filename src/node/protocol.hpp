@@ -3,8 +3,10 @@
 // runtime/binary_io.hpp — the same discipline as the wire header, so no
 // struct padding ever reaches the wire.
 //
-// The periodic load report is the engine's own core::InstanceSnapshot,
-// serialized as-is (every StreamSnapshot field, fault counters included).
+// The periodic load report is the engine's own core::InstanceStats record,
+// serialized as-is: every field snapshot() fills, per-stream fault
+// counters included; only run()'s report-only fields (the latency and
+// decode histograms, wall_sec, total_throughput_fps) stay off the wire.
 // There is deliberately no second "cluster stats" schema: what the
 // scheduler sees is exactly what a local snapshot() caller sees, with the
 // node translating engine-local stream ids to cluster-global ids.
@@ -78,7 +80,7 @@ struct StreamResults {
 };
 
 /// kSnapshot reply: the engine snapshot, verbatim.
-std::string serialize_snapshot(const core::InstanceSnapshot& snap);
-std::optional<core::InstanceSnapshot> parse_snapshot(std::string_view payload);
+std::string serialize_snapshot(const core::InstanceStats& snap);
+std::optional<core::InstanceStats> parse_snapshot(std::string_view payload);
 
 }  // namespace ffsva::node

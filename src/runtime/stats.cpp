@@ -42,8 +42,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-Histogram::Histogram() : buckets_(64 * kSubBuckets, 0) {}
-
 std::size_t Histogram::bucket_index(double value) {
   if (!(value > 1.0)) return 0;  // [0,1] and NaN land in bucket 0
   int exp = 0;
@@ -66,13 +64,15 @@ double Histogram::bucket_value(std::size_t index) {
 
 void Histogram::add(double value) {
   stats_.add(value);
-  const std::size_t idx = std::min(bucket_index(value), buckets_.size() - 1);
-  ++buckets_[idx];
+  if (buckets_.empty()) buckets_.assign(kBuckets, 0);
+  ++buckets_[std::min(bucket_index(value), kBuckets - 1)];
 }
 
 void Histogram::merge(const Histogram& other) {
+  if (other.buckets_.empty()) return;
   stats_.merge(other.stats_);
-  for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+  if (buckets_.empty()) buckets_.assign(kBuckets, 0);
+  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
 }
 
 double Histogram::quantile(double q) const {

@@ -37,10 +37,10 @@ class RunningStats {
 };
 
 /// Log-bucketed histogram over non-negative values (typically microseconds).
+/// The kBuckets counters are allocated on the first add() (or merge of a
+/// non-empty histogram), so an unused histogram costs no heap memory.
 class Histogram {
  public:
-  Histogram();
-
   void add(double value);
   void merge(const Histogram& other);
 
@@ -71,7 +71,7 @@ class Histogram {
   static double bucket_value(std::size_t index);
 
  private:
-  std::vector<std::uint64_t> buckets_;
+  std::vector<std::uint64_t> buckets_;  ///< Empty until the first sample.
   RunningStats stats_;
 };
 
@@ -80,6 +80,11 @@ struct StageCounters {
   std::uint64_t in = 0;
   std::uint64_t passed = 0;
 
+  StageCounters& operator+=(const StageCounters& o) {
+    in += o.in;
+    passed += o.passed;
+    return *this;
+  }
   std::uint64_t filtered() const { return in - passed; }
   double pass_rate() const {
     return in ? static_cast<double>(passed) / static_cast<double>(in) : 0.0;

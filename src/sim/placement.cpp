@@ -74,14 +74,12 @@ PlacementResult simulate_placement(const PlacementSetup& setup) {
     for (int i = 0; i < setup.instances; ++i) {
       const auto ui = static_cast<std::size_t>(i);
       served[ui] += std::min(load[ui], capacity[ui]) * setup.dt_sec;
-      core::InstanceSnapshot snap;
+      core::InstanceStats snap;
       snap.running = true;
       snap.t_sec = now;
-      core::StreamSnapshot s;
-      s.id = 0;
-      s.tyolo_in = static_cast<std::uint64_t>(served[ui]);
+      core::StreamStats& s = snap.streams.emplace_back();
+      s.tyolo.in = static_cast<std::uint64_t>(served[ui]);
       s.tyolo_queue_depth = load[ui] > capacity[ui] ? tyolo_cap : 0;
-      snap.streams.push_back(s);
       manager.report_snapshot(i, now, snap);
     }
 

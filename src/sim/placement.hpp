@@ -9,8 +9,8 @@
 //
 // The model is deliberately coarser than sim/engine.cpp: each instance is a
 // T-YOLO service with a fixed capacity (FPS); each stream is a demand (FPS).
-// Per virtual tick the simulator synthesizes exactly the InstanceSnapshot a
-// live node would report — a cumulative served counter advancing at
+// Per virtual tick the simulator synthesizes exactly the InstanceStats
+// snapshot a live node would report — a cumulative served counter advancing at
 // min(demand, capacity), and a filter queue pinned at its threshold while
 // demand exceeds capacity — and folds it through report_snapshot, the same
 // entry point the socket scheduler uses. Placement and re-forward decisions

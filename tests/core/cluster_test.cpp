@@ -115,13 +115,13 @@ TEST(ClusterManager, OverloadSignalDecaysAndReforwardStops) {
 
 /// A snapshot with `streams` streams, each having served `tyolo_in` frames,
 /// with every queue at `queue_depth`.
-InstanceSnapshot snap_of(int streams, std::uint64_t tyolo_in,
+InstanceStats snap_of(int streams, std::uint64_t tyolo_in,
                          std::size_t queue_depth = 0, int quarantined = 0) {
-  InstanceSnapshot snap;
+  InstanceStats snap;
   for (int i = 0; i < streams; ++i) {
-    StreamSnapshot s;
+    StreamStats s;
     s.id = i;
-    s.tyolo_in = tyolo_in;
+    s.tyolo.in = tyolo_in;
     s.snm_queue_depth = queue_depth;
     s.tyolo_queue_depth = queue_depth;
     snap.streams.push_back(s);
@@ -198,7 +198,7 @@ TEST(ClusterManager, SnapshotQueueAtThresholdRaisesOverload) {
   EXPECT_FALSE(cm.instance_overloaded(0, 6.0));
 
   const auto full = static_cast<std::size_t>(c.capacity(c.tyolo_queue_depth));
-  InstanceSnapshot snap = snap_of(1, 60);
+  InstanceStats snap = snap_of(1, 60);
   snap.streams[0].tyolo_queue_depth = full;
   cm.report_snapshot(0, 6.0, snap);
   EXPECT_TRUE(cm.instance_overloaded(0, 6.0));
@@ -243,10 +243,10 @@ TEST(ClusterManager, HandoffResetsServedBaseline) {
   // that history — a baseline shift, not service performed.
   cm.attach_stream(7, 1);
   cm.attach_stream(7, 0);
-  InstanceSnapshot ret = snap_of(2, 1000);
-  StreamSnapshot back;
+  InstanceStats ret = snap_of(2, 1000);
+  StreamStats back;
   back.id = 7;
-  back.tyolo_in = 100000;
+  back.tyolo.in = 100000;
   ret.streams.push_back(back);
   ++ret.health.healthy_streams;
   for (double t = 6.1; t <= 11.0; t += 0.1) cm.report_snapshot(0, t, ret);

@@ -68,12 +68,13 @@ TEST(Handoff, TwoNodeForcedMigrationConservesEveryFrame) {
   n0.start();
   n1.start();
 
-  // Enough frames that the forced migration at 0.5s lands mid-serve.
+  // The forced migration fires once a stream has ingested 300 of its 1500
+  // frames, so it always lands mid-serve.
   const auto specs = make_specs(/*count=*/4, /*frames=*/1500, /*calib=*/10,
                                 /*w=*/64, /*h=*/48);
   SchedOptions opts;
   opts.snapshot_interval_ms = 50;
-  opts.force_migration_at_sec = 0.5;
+  opts.force_migration_after = 300;
   opts.deadline_sec = 180.0 * kDeadlineGrace;
   ClusterScheduler sched(
       {net::Endpoint::tcp("127.0.0.1", n0.server->port()),

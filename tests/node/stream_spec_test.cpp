@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 
 #include "node/protocol.hpp"
 
@@ -135,6 +136,82 @@ TEST(Protocol, AssignAndResultsRoundTrip) {
   std::string blob = res.serialize();
   EXPECT_FALSE(StreamResults::parse(blob.substr(0, blob.size() - 3))
                    .has_value());
+}
+
+TEST(Protocol, SnapshotRoundTripsEveryField) {
+  // Every wire field carries a distinct value (and every bool its
+  // non-default one somewhere), so a dropped, swapped or mistyped field
+  // cannot round-trip by accident.
+  std::uint64_t next = 1;
+  const auto v = [&next] { return next++; };
+  core::InstanceStats snap;
+  snap.running = true;
+  snap.t_sec = 0.5 * static_cast<double>(v());
+  snap.ref_queue_depth = v();
+  snap.outputs = v();
+  core::HealthSummary& h = snap.health;
+  h.healthy_streams = static_cast<int>(v());
+  h.degraded_streams = static_cast<int>(v());
+  h.quarantined_streams = static_cast<int>(v());
+  for (auto* f : {&h.cancels, &h.stage_restarts, &h.stage_stall_ticks}) *f = v();
+  h.stopped = h.deadline_hit = true;
+  for (int i = 0; i < 2; ++i) {
+    core::StreamStats& s = snap.streams.emplace_back();
+    s.id = static_cast<int>(v());
+    for (auto* c : {&s.prefetch, &s.sdd, &s.snm, &s.tyolo, &s.ref}) {
+      c->in = v();
+      c->passed = v();
+    }
+    for (auto* f : {&s.dropped_at_ingest, &s.terminated, &s.ingest.decode_full,
+                    &s.ingest.decode_skipped, &s.ingest.hint_passes,
+                    &s.ingest.hint_fallbacks, &s.fault.decode_errors, &s.fault.retries,
+                    &s.fault.restarts, &s.fault.degraded_frames,
+                    &s.fault.discarded_frames, &s.fault.cancelled_calls,
+                    &s.fault.poisoned_frames}) {
+      *f = v();
+    }
+    for (auto* d : {&s.sdd_queue_depth, &s.snm_queue_depth, &s.tyolo_queue_depth}) {
+      *d = v();
+    }
+    s.ingest_fps = 0.25 * static_cast<double>(v());
+    s.ingest.compression_ratio = 1.5 * static_cast<double>(v());
+    s.ingest_done = i == 0;
+    s.fault.quarantined = i == 1;
+  }
+
+  const auto instance_fields = [](const core::InstanceStats& x) {
+    const core::HealthSummary& hs = x.health;
+    return std::tuple(x.running, x.t_sec, x.ref_queue_depth, x.outputs,
+                      x.streams.size(), hs.healthy_streams, hs.degraded_streams,
+                      hs.quarantined_streams, hs.cancels, hs.stage_restarts,
+                      hs.stage_stall_ticks, hs.stopped, hs.deadline_hit);
+  };
+  const auto stream_fields = [](const core::StreamStats& x) {
+    const core::IngestStats& in = x.ingest;
+    const core::FaultStats& f = x.fault;
+    return std::tuple(
+        x.id, x.prefetch.in, x.prefetch.passed, x.sdd.in, x.sdd.passed, x.snm.in,
+        x.snm.passed, x.tyolo.in, x.tyolo.passed, x.ref.in, x.ref.passed,
+        x.dropped_at_ingest, x.terminated, x.ingest_done, x.sdd_queue_depth,
+        x.snm_queue_depth, x.tyolo_queue_depth, x.ingest_fps, in.decode_full,
+        in.decode_skipped, in.hint_passes, in.hint_fallbacks, in.compression_ratio,
+        f.decode_errors, f.retries, f.restarts, f.degraded_frames, f.discarded_frames,
+        f.cancelled_calls, f.poisoned_frames, f.quarantined);
+  };
+  const std::string wire = serialize_snapshot(snap);
+  const auto got = parse_snapshot(wire);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(instance_fields(*got), instance_fields(snap));
+  ASSERT_EQ(got->streams.size(), snap.streams.size());
+  for (std::size_t i = 0; i < snap.streams.size(); ++i) {
+    EXPECT_EQ(stream_fields(got->streams[i]), stream_fields(snap.streams[i]))
+        << "stream " << i;
+  }
+
+  // Every truncated prefix is rejected, never half-parsed.
+  for (std::size_t len = 0; len < wire.size(); ++len) {
+    EXPECT_FALSE(parse_snapshot(wire.substr(0, len)).has_value()) << "prefix " << len;
+  }
 }
 
 }  // namespace

@@ -154,8 +154,8 @@ TEST(PipelineTelemetry, SnapshotIsSafeAndMonotonicMidRun) {
       for (std::size_t i = 0; i < snap.streams.size(); ++i) {
         const auto& s = snap.streams[i];
         EXPECT_EQ(s.id, static_cast<int>(i));
-        EXPECT_GE(s.sdd_in, last_sdd_in[i]);
-        last_sdd_in[i] = s.sdd_in;
+        EXPECT_GE(s.sdd.in, last_sdd_in[i]);
+        last_sdd_in[i] = s.sdd.in;
       }
       ++polls;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -175,8 +175,8 @@ TEST(PipelineTelemetry, SnapshotIsSafeAndMonotonicMidRun) {
   EXPECT_EQ(final_snap.tyolo_served(), tyolo_in_total);
   EXPECT_EQ(final_snap.streams.size(), stats.streams.size());
   for (std::size_t i = 0; i < stats.streams.size(); ++i) {
-    EXPECT_EQ(final_snap.streams[i].ref_passed, stats.streams[i].ref.passed);
-    EXPECT_EQ(final_snap.streams[i].prefetch_in, stats.streams[i].prefetch.in);
+    EXPECT_EQ(final_snap.streams[i].ref.passed, stats.streams[i].ref.passed);
+    EXPECT_EQ(final_snap.streams[i].prefetch.in, stats.streams[i].prefetch.in);
   }
 }
 
