@@ -1,6 +1,6 @@
 // SDD — stream-specialized difference detector (paper Section 3.2.1).
 //
-// Resizes each frame to a fixed low resolution, converts to gray, and
+// Resizes each frame to a fixed low resolution, keeping color, and
 // compares against a per-stream reference background image with one of
 // MSE / NRMSE / SAD. A frame whose distance exceeds delta_diff shows "an
 // obvious content change" and passes; otherwise it is a background frame
@@ -59,7 +59,9 @@ class SddFilter {
  public:
   SddFilter(SddConfig config, const image::Image& reference_background);
 
-  /// Distance of this frame to the reference (after resize + gray).
+  /// Distance of this frame to the reference, after the resize to the
+  /// feature size. Thread-safe; a warm call (fixed frame geometry)
+  /// allocates nothing.
   double distance(const image::Image& frame) const;
 
   /// True if the frame passes (content changed), false if filtered out.
@@ -81,7 +83,8 @@ class SddFilter {
 
  private:
   SddConfig config_;
-  image::Image reference_;  ///< Gray, at SDD feature size.
+  image::Image reference_;       ///< Color kept, at SDD feature size.
+  image::Image reference_gray_;  ///< Luma of reference_, for mixed inputs.
 };
 
 /// What the compressed-domain SDD concluded about a not-yet-decoded frame.
@@ -105,7 +108,7 @@ const char* to_string(HintDecision d);
 /// bracket clears the threshold by the conservative band `hint_relax`
 /// (skip only below delta_diff * hint_relax, pass only above
 /// delta_diff / hint_relax). Everything else falls back to pixel SDD, which
-/// re-anchors the chain and resets the drift. The resize/gray/gain steps of
+/// re-anchors the chain and resets the drift. The resize and gain steps of
 /// the pixel SDD make the bound heuristic rather than exact — a change
 /// confined to one hint block can alias through the 100x100 resize at up to
 /// its local amplitude, so the forward estimate takes the worse of the

@@ -1,7 +1,7 @@
 // Minimal dense image container.
 //
 // All FFS-VA filters operate on small raster images: SDD on ~100x100
-// grayscale, SNM on 50x50, T-YOLO on a downscaled detector input, the
+// color, SNM on 50x50, T-YOLO on a downscaled detector input, the
 // reference model on the full frame. We keep a single u8 interleaved
 // HWC layout (like a decoded video frame) and convert to float tensors
 // only at the NN boundary.

@@ -5,21 +5,27 @@
 #include <stdexcept>
 #include <vector>
 
-#include "runtime/parallel_for.hpp"
-
 namespace ffsva::image {
 
-Image to_gray(const Image& src) {
-  if (src.channels() == 1) return src;
-  Image out(src.width(), src.height(), 1);
+void to_gray_into(const Image& src, Image& dst) {
+  if (src.channels() == 1) {
+    dst = src;
+    return;
+  }
+  dst.reset(src.width(), src.height(), 1);
   const std::uint8_t* in = src.data();
-  std::uint8_t* o = out.data();
+  std::uint8_t* o = dst.data();
   const std::size_t n = static_cast<std::size_t>(src.width()) * src.height();
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint8_t* p = in + i * 3;
     // BT.601: 0.299 R + 0.587 G + 0.114 B, in 8.8 fixed point.
     o[i] = static_cast<std::uint8_t>((77 * p[0] + 150 * p[1] + 29 * p[2]) >> 8);
   }
+}
+
+Image to_gray(const Image& src) {
+  Image out;
+  to_gray_into(src, out);
   return out;
 }
 
@@ -39,6 +45,50 @@ void build_axis(int src, int out, std::vector<std::int32_t>& i0,
     i1[static_cast<std::size_t>(i)] = std::min(a + 1, src - 1);
     w[static_cast<std::size_t>(i)] =
         static_cast<std::int32_t>(std::lround(std::clamp(f - a, 0.0, 1.0) * kOne));
+  }
+}
+
+/// Q11 bilinear rows for a compile-time channel count. Each output row
+/// first lerps its two source rows vertically into an int32 row
+/// (contiguous, so it vectorizes), then the horizontal taps read that row.
+/// The arithmetic is exact integer math, so taking the vertical lerp first
+/// sums the same four products as horizontal-first and rounds once: the
+/// output is bit-identical either way.
+template <int C>
+void resize_rows(const std::uint8_t* src, const ResizePlan& plan,
+                 std::uint8_t* __restrict out) {
+  constexpr int kOne = 1 << ResizePlan::kWeightBits;
+  constexpr int kShift = 2 * ResizePlan::kWeightBits;
+  // Rounding applied once after both lerps: Q22 intermediate fits int32
+  // (255 * 2048 * 2048 < 2^31).
+  constexpr int kHalf = 1 << (kShift - 1);
+  const std::size_t row_len = static_cast<std::size_t>(plan.src_w) * C;
+  // Grow-only per-thread staging: allocation-free once warm.
+  static thread_local std::vector<std::int32_t> row_buf;
+  if (row_buf.size() < row_len) row_buf.resize(row_len);
+  std::int32_t* __restrict row = row_buf.data();
+  const std::int32_t* __restrict x0 = plan.x0.data();
+  const std::int32_t* __restrict x1 = plan.x1.data();
+  const std::int32_t* __restrict wx = plan.wx.data();
+  const int out_w = plan.out_w;
+  for (int y = 0; y < plan.out_h; ++y) {
+    const std::uint8_t* __restrict r0 =
+        src + plan.y0[static_cast<std::size_t>(y)] * row_len;
+    const std::uint8_t* __restrict r1 =
+        src + plan.y1[static_cast<std::size_t>(y)] * row_len;
+    const int vy = plan.wy[static_cast<std::size_t>(y)];
+    const int uy = kOne - vy;
+    for (std::size_t i = 0; i < row_len; ++i) row[i] = r0[i] * uy + r1[i] * vy;
+    for (int x = 0; x < out_w; ++x, out += C) {
+      const std::int32_t* a = row + x0[x] * C;
+      const std::int32_t* b = row + x1[x] * C;
+      const int vx = wx[x];
+      const int ux = kOne - vx;
+      for (int ch = 0; ch < C; ++ch) {
+        out[ch] =
+            static_cast<std::uint8_t>((a[ch] * ux + b[ch] * vx + kHalf) >> kShift);
+      }
+    }
   }
 }
 }  // namespace
@@ -66,43 +116,13 @@ void ResizePlan::ensure(int src_width, int src_height, int out_width,
 
 void resize_bilinear_into(const Image& src, const ResizePlan& plan, Image& dst) {
   dst.reset(plan.out_w, plan.out_h, src.channels());
-  const int c = src.channels();
-  constexpr int kOne = 1 << ResizePlan::kWeightBits;
-  // Rounding applied once after both lerps: Q22 intermediate fits int32
-  // (255 * 2048 * 2048 < 2^31).
-  constexpr int kHalf = 1 << (2 * ResizePlan::kWeightBits - 1);
-  const std::size_t row_stride = static_cast<std::size_t>(plan.src_w) * c;
-  auto rows = [&](std::int64_t y_begin, std::int64_t y_end) {
-    for (std::int64_t y = y_begin; y < y_end; ++y) {
-      const std::uint8_t* r0 = src.data() + plan.y0[static_cast<std::size_t>(y)] * row_stride;
-      const std::uint8_t* r1 = src.data() + plan.y1[static_cast<std::size_t>(y)] * row_stride;
-      const int vy = plan.wy[static_cast<std::size_t>(y)];
-      const int uy = kOne - vy;
-      std::uint8_t* out = dst.data() + static_cast<std::size_t>(y) * plan.out_w * c;
-      for (int x = 0; x < plan.out_w; ++x) {
-        const int xa = plan.x0[static_cast<std::size_t>(x)] * c;
-        const int xb = plan.x1[static_cast<std::size_t>(x)] * c;
-        const int vx = plan.wx[static_cast<std::size_t>(x)];
-        const int ux = kOne - vx;
-        for (int ch = 0; ch < c; ++ch) {
-          const int top = r0[xa + ch] * ux + r0[xb + ch] * vx;
-          const int bot = r1[xa + ch] * ux + r1[xb + ch] * vx;
-          out[x * c + ch] =
-              static_cast<std::uint8_t>((top * uy + bot * vy + kHalf) >> (2 * ResizePlan::kWeightBits));
-        }
-      }
-    }
-  };
-  // Rows are independent and the math is integer, so fanning them out is
-  // bitwise-identical to the serial loop. Only worth it for real images.
-  const std::int64_t pixels =
-      static_cast<std::int64_t>(plan.out_w) * plan.out_h * c;
-  if (pixels >= 2048 && plan.out_h >= 8) {
-    const std::int64_t grain =
-        std::max<std::int64_t>(1, plan.out_h / (4 * runtime::compute_parallelism()));
-    runtime::parallel_for(0, plan.out_h, grain, rows);
+  // Always serial: callers that want parallelism fan out over frames, and
+  // an SDD pool worker fanning its own rows out onto the full pool only
+  // adds hand-off cost.
+  if (src.channels() == 3) {
+    resize_rows<3>(src.data(), plan, dst.data());
   } else {
-    rows(0, plan.out_h);
+    resize_rows<1>(src.data(), plan, dst.data());
   }
 }
 

@@ -15,6 +15,10 @@ namespace ffsva::image {
 /// Luma conversion (BT.601 integer weights). 1-channel input is copied.
 Image to_gray(const Image& src);
 
+/// to_gray into a caller-owned destination; allocation-free once dst is
+/// warm for the geometry.
+void to_gray_into(const Image& src, Image& dst);
+
 /// Precomputed bilinear resampling tables. The per-pixel source indices
 /// (clamped) and lerp weights (Q11 fixed point) depend only on the
 /// geometry, so every filter that resizes each frame to a fixed input
@@ -38,7 +42,9 @@ Image resize_bilinear(const Image& src, int out_w, int out_h);
 
 /// Bilinear resize into a caller-owned destination using prepared tables;
 /// dst is reshaped to the plan's output geometry and src must match the
-/// plan's source geometry. Allocation-free once dst is warm.
+/// plan's source geometry. Allocation-free once dst is warm. Runs entirely
+/// on the calling thread (no pool fan-out): callers that want parallelism
+/// fan out over frames, as diff_preprocess_batch does.
 void resize_bilinear_into(const Image& src, const ResizePlan& plan, Image& dst);
 
 /// Mean squared error over all channels. Shapes must match.

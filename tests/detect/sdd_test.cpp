@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <string>
+
 #include "image/draw.hpp"
+#include "image/ops.hpp"
 #include "video/profiles.hpp"
 
 namespace ffsva::detect {
@@ -181,6 +187,122 @@ TEST(SddCalibrateOn, RealSceneKeepsTargetFramesPassing) {
   }
   ASSERT_GT(targets, 0);
   EXPECT_LT(static_cast<double>(fn) / targets, 0.02);
+}
+
+// --- agreement with the two-pass double kernel --------------------------------
+
+/// The distance kernel SddFilter used before the one-pass integer rewrite,
+/// kept as the oracle: allocating resize, then two passes in double with a
+/// per-byte channel modulo. `reference` is already at the feature size.
+double oracle_distance(const SddConfig& cfg, const image::Image& reference,
+                       const image::Image& frame) {
+  image::Image small = image::resize_bilinear(frame, cfg.width, cfg.height);
+  image::Image ref = reference;
+  bool gain = cfg.gain_compensate;
+  if (small.channels() != ref.channels()) {
+    small = image::to_gray(small);
+    ref = image::to_gray(ref);
+    gain = false;
+  }
+  if (!gain) {
+    switch (cfg.metric) {
+      case SddMetric::kMse: return image::mse(small, ref);
+      case SddMetric::kNrmse: return image::nrmse(small, ref);
+      case SddMetric::kSad: return image::sad(small, ref);
+    }
+  }
+  const std::uint8_t* a = small.data();
+  const std::uint8_t* b = ref.data();
+  const std::size_t n = small.size_bytes();
+  const auto channels = static_cast<std::size_t>(small.channels());
+  double mean[3] = {0.0, 0.0, 0.0};
+  for (std::size_t i = 0; i < n; ++i) {
+    mean[i % channels] += static_cast<double>(a[i]) - static_cast<double>(b[i]);
+  }
+  for (std::size_t c = 0; c < channels; ++c) {
+    mean[c] /= static_cast<double>(n / channels);
+  }
+  double acc = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d =
+        static_cast<double>(a[i]) - static_cast<double>(b[i]) - mean[i % channels];
+    acc += cfg.metric == SddMetric::kSad ? std::abs(d) : d * d;
+  }
+  acc /= static_cast<double>(n);
+  return cfg.metric == SddMetric::kNrmse ? std::sqrt(acc) / 255.0 : acc;
+}
+
+struct AgreementCorpus {
+  const char* name;
+  video::SceneConfig scene;
+  std::uint64_t seed;
+};
+
+TEST(SddAgreement, MatchesTwoPassDoubleKernelOnRenderedFrames) {
+  video::SceneConfig jackson = video::jackson_profile();
+  jackson.tor = 0.4;
+  video::SceneConfig coral = video::coral_profile();
+  coral.tor = 0.4;
+  constexpr int kFrames = 150;
+  // Which side of the comparison is gray: colour/colour and gray/gray take
+  // the per-channel kernels (C = 3 and C = 1); the mixed pairs take the
+  // luma fallback.
+  enum class Input { kColor, kGray, kGrayFrame, kGrayReference };
+  for (const AgreementCorpus& corpus :
+       {AgreementCorpus{"jackson", jackson, 5}, AgreementCorpus{"coral", coral, 6}}) {
+    video::SceneSimulator sim(corpus.scene, corpus.seed, kFrames);
+    std::vector<image::Image> color, gray;
+    std::vector<bool> label;
+    for (int i = 0; i < kFrames; ++i) {
+      const video::Frame f = sim.render(i);
+      color.push_back(f.image);
+      gray.push_back(image::to_gray(f.image));
+      label.push_back(f.gt.any_target(corpus.scene.target));
+    }
+    ASSERT_GT(std::count(label.begin(), label.end(), true), 0) << corpus.name;
+    const image::Image bg_gray = image::to_gray(sim.background());
+    for (const Input input : {Input::kColor, Input::kGray, Input::kGrayFrame,
+                              Input::kGrayReference}) {
+      const bool gray_frame = input == Input::kGray || input == Input::kGrayFrame;
+      const bool gray_ref = input == Input::kGray || input == Input::kGrayReference;
+      const auto& frames = gray_frame ? gray : color;
+      const image::Image& bg = gray_ref ? bg_gray : sim.background();
+      for (const SddMetric metric :
+           {SddMetric::kMse, SddMetric::kNrmse, SddMetric::kSad}) {
+        for (const bool gain : {true, false}) {
+          SddConfig cfg;
+          cfg.metric = metric;
+          cfg.gain_compensate = gain;
+          SddFilter sdd(cfg, bg);
+          const image::Image reference =
+              image::resize_bilinear(bg, cfg.width, cfg.height);
+          std::vector<double> want, got;
+          for (const auto& frame : frames) {
+            want.push_back(oracle_distance(cfg, reference, frame));
+            got.push_back(sdd.distance(frame));
+          }
+          const std::string what = std::string(corpus.name) + " " + to_string(metric) +
+                                   (gain ? " gain" : " raw") + " input " +
+                                   std::to_string(static_cast<int>(input));
+          for (std::size_t i = 0; i < frames.size(); ++i) {
+            ASSERT_NEAR(got[i], want[i], 1e-9 * std::abs(want[i]) + 1e-12)
+                << what << " frame " << i;
+          }
+          // Same verdict on every frame at the threshold calibrated from the
+          // oracle, and calibration on the new distances lands on it too.
+          const double delta = sdd.calibrate(want, label);
+          int flips = 0, passes = 0;
+          for (std::size_t i = 0; i < frames.size(); ++i) {
+            flips += (got[i] > delta) != (want[i] > delta);
+            passes += got[i] > delta;
+          }
+          EXPECT_EQ(flips, 0) << what;
+          EXPECT_GT(passes, 0) << what;
+          EXPECT_NEAR(sdd.calibrate(got, label), delta, 1e-9 * delta) << what;
+        }
+      }
+    }
+  }
 }
 
 TEST(SddFilter, ToStringCoversMetrics) {

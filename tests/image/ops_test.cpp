@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "runtime/parallel_for.hpp"
+#include <algorithm>
+#include <cmath>
+
 #include "runtime/rng.hpp"
 
 namespace ffsva::image {
@@ -97,22 +99,60 @@ TEST(ResizePlan, EnsureRebuildsOnGeometryChange) {
   EXPECT_EQ(resize_bilinear(img, 16, 16), got);
 }
 
-TEST(ResizePlan, IntoDeterministicAcrossThreadCounts) {
-  // Rows are fanned out across the compute pool in integer math: results
-  // must be bitwise identical at any parallelism.
-  const Image img = random_image(320, 240, 1, 8);
-  ResizePlan plan;
-  plan.ensure(img.width(), img.height(), 50, 50);
+/// Plain per-pixel Q11 bilinear resize: taps and weights derived from the
+/// geometry at every sample, no tables, no row kernel.
+Image reference_resize(const Image& src, int out_w, int out_h) {
+  constexpr int kBits = ResizePlan::kWeightBits;
+  constexpr int kOne = 1 << kBits;
+  const auto tap = [](int i, int src_n, int out_n, int& a, int& b, int& w) {
+    const double f = (i + 0.5) * static_cast<double>(src_n) / out_n - 0.5;
+    a = std::clamp(static_cast<int>(std::floor(f)), 0, src_n - 1);
+    b = std::min(a + 1, src_n - 1);
+    w = static_cast<int>(std::lround(std::clamp(f - a, 0.0, 1.0) * kOne));
+  };
+  Image out(out_w, out_h, src.channels());
+  for (int y = 0; y < out_h; ++y) {
+    int ya, yb, vy;
+    tap(y, src.height(), out_h, ya, yb, vy);
+    for (int x = 0; x < out_w; ++x) {
+      int xa, xb, vx;
+      tap(x, src.width(), out_w, xa, xb, vx);
+      for (int ch = 0; ch < src.channels(); ++ch) {
+        const int top = src.at(xa, ya, ch) * (kOne - vx) + src.at(xb, ya, ch) * vx;
+        const int bot = src.at(xa, yb, ch) * (kOne - vx) + src.at(xb, yb, ch) * vx;
+        out.at(x, y, ch) = static_cast<std::uint8_t>(
+            (top * (kOne - vy) + bot * vy + (1 << (2 * kBits - 1))) >> (2 * kBits));
+      }
+    }
+  }
+  return out;
+}
 
-  const int saved = runtime::compute_parallelism();
-  runtime::set_compute_parallelism(1);
-  Image serial;
-  resize_bilinear_into(img, plan, serial);
-  runtime::set_compute_parallelism(4);
-  Image parallel;
-  resize_bilinear_into(img, plan, parallel);
-  runtime::set_compute_parallelism(saved);
-  EXPECT_EQ(serial, parallel);
+TEST(ResizePlan, IntoMatchesPerPixelQ11Reference) {
+  struct Geometry {
+    int src_w, src_h, out_w, out_h;
+  };
+  const Geometry cases[] = {
+      {320, 240, 100, 100},  // the SDD input
+      {37, 23, 11, 7},       // odd downscale
+      {13, 9, 31, 17},       // odd upscale
+      {101, 5, 7, 13},       // down in x, up in y
+      {1, 1, 3, 3},          // single-pixel source
+      {50, 50, 50, 50},      // identity geometry
+  };
+  std::uint64_t seed = 100;
+  for (const int channels : {1, 3}) {
+    for (const auto& g : cases) {
+      const Image img = random_image(g.src_w, g.src_h, channels, ++seed);
+      ResizePlan plan;
+      plan.ensure(g.src_w, g.src_h, g.out_w, g.out_h);
+      Image got;
+      resize_bilinear_into(img, plan, got);
+      EXPECT_EQ(reference_resize(img, g.out_w, g.out_h), got)
+          << channels << "ch " << g.src_w << "x" << g.src_h << " -> " << g.out_w
+          << "x" << g.out_h;
+    }
+  }
 }
 
 TEST(Distance, IdenticalImagesAreZero) {

@@ -59,7 +59,9 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #pragma GCC diagnostic pop
 
+#include "detect/sdd.hpp"
 #include "detect/snm.hpp"
+#include "image/ops.hpp"
 #include "nn/layers.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/rng.hpp"
@@ -141,6 +143,40 @@ TEST(ZeroAlloc, WarmSnmPredictBatchIsAllocationFree) {
   const auto probs = snm.predict_batch(ptrs);
   EXPECT_LE(window.count(), 1);
   EXPECT_EQ(4u, probs.size());
+}
+
+// SDD sees every frame, so its distance shares the contract: the resize
+// stages into thread-local buffers and the kernel accumulates in registers.
+// The mixed gray/colour fallback uses the luma reference the constructor
+// precomputed.
+TEST(ZeroAlloc, WarmSddDistanceIsAllocationFree) {
+  runtime::Xoshiro256 rng(41);
+  image::Image background(160, 120, 3);
+  image::Image frame(160, 120, 3);
+  for (std::size_t i = 0; i < background.size_bytes(); ++i) {
+    background.data()[i] = static_cast<std::uint8_t>(rng.next() & 0xff);
+    frame.data()[i] = static_cast<std::uint8_t>(rng.next() & 0xff);
+  }
+  const image::Image gray_frame = image::to_gray(frame);
+  detect::SddConfig sad_cfg;
+  sad_cfg.metric = detect::SddMetric::kSad;
+  const detect::SddFilter mse(detect::SddConfig{}, background);
+  const detect::SddFilter sad(sad_cfg, background);
+  const detect::SddFilter gray_ref(detect::SddConfig{}, image::to_gray(background));
+  // Warm-up sizes the thread-local plan and staging images.
+  (void)mse.distance(frame);
+  (void)gray_ref.distance(frame);
+
+  AllocWindow window;
+  const double d_mse = mse.distance(frame);
+  const double d_sad = sad.distance(frame);
+  const double d_gray_frame = mse.distance(gray_frame);
+  const double d_gray_ref = gray_ref.distance(frame);
+  EXPECT_EQ(0, window.count());
+  EXPECT_GT(d_mse, 0.0);
+  EXPECT_GT(d_sad, 0.0);
+  EXPECT_GT(d_gray_frame, 0.0);
+  EXPECT_GT(d_gray_ref, 0.0);
 }
 
 // The telemetry hot path shares the zero-allocation contract: with metrics
