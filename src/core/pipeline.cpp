@@ -57,24 +57,21 @@ enum class Fate : std::uint8_t {
 /// How a guarded model call ended.
 enum class Call : std::uint8_t { kOk, kCancelled, kThrew };
 
-/// Runs one model call under the watchdog's eyes: `hb` (optional) reads
-/// busy for its duration, and the call is registered in `slot` so a wedge
-/// can be attributed to {stream, frame} and cancelled.
+/// Runs one model call under the watchdog's eyes: the call is registered
+/// in `slot` for its duration, so its busy age is the stall clock and a
+/// wedge can be attributed to {stream, frame} and cancelled.
 template <class Fn>
-Call guarded_call(runtime::Heartbeat* hb, runtime::InflightCall& slot,
-                  int stream, std::int64_t frame, Fn&& fn) {
-  if (hb != nullptr) hb->busy();
-  Call outcome = Call::kOk;
+Call guarded_call(runtime::InflightCall& slot, int stream, std::int64_t frame,
+                  Fn&& fn) {
   try {
     runtime::ModelCallGuard guard(slot, stream, frame);
     fn();
   } catch (const runtime::CancelledError&) {
-    outcome = Call::kCancelled;
+    return Call::kCancelled;
   } catch (...) {
-    outcome = Call::kThrew;
+    return Call::kThrew;
   }
-  if (hb != nullptr) hb->idle();
-  return outcome;
+  return Call::kOk;
 }
 
 /// Exponential backoff before a retry or restart: 1 ms doubled per attempt,
@@ -193,7 +190,7 @@ struct FfsVaInstance::Stream {
   std::atomic<std::uint64_t> hint_passes{0};
   std::atomic<std::uint64_t> hint_fallbacks{0};
   /// Decode-stage latency. AtomicHistogram (not runtime::Histogram):
-  /// snapshot gauges read it live while the prefetch thread records, so
+  /// metrics_snapshot() reads it live while the prefetch thread records, so
   /// recording must be lock-free and thread-safe.
   telemetry::AtomicHistogram decode_ms;
 
@@ -220,7 +217,9 @@ struct FfsVaInstance::Stream {
   std::atomic<std::uint64_t> cancels{0};
   std::atomic<std::uint64_t> poisoned{0};
 
-  /// The decode call currently in flight on this stream's prefetch thread.
+  /// The call currently in flight on this stream's prefetch thread: a
+  /// decode, or a fused stream's pixel SDD. Its busy age is the stream's
+  /// stall clock — blocking on a full queue between calls reads as idle.
   /// The watchdog cancels it when it overruns model_call_timeout_ms, and
   /// quarantine cancels it unconditionally — that cancel is what makes the
   /// prefetch join bounded (the thread is joined, never detached).
@@ -234,9 +233,6 @@ struct FfsVaInstance::Stream {
   std::atomic<std::uint64_t> in[kNumStages]{};
   std::atomic<std::uint64_t> passed[kNumStages]{};
 
-  /// Liveness of the source: busy only across source->next() — blocking on
-  /// the SDD feedback queue is healthy backpressure and reads as idle.
-  runtime::Heartbeat hb;
   runtime::StopToken stop;  ///< Copy of the instance token.
 
   /// SDD worker-pool coordination: at most one worker serves this stream at
@@ -268,10 +264,7 @@ struct FfsVaInstance::Stream {
         tyolo_q(static_cast<std::size_t>(cfg_.capacity(cfg_.tyolo_queue_depth))) {}
 
   /// A frame enters stage `st`.
-  void enter(StageId st) {
-    in[st].fetch_add(1, std::memory_order_relaxed);
-    hot->in[st]->add();
-  }
+  void enter(StageId st) { in[st].fetch_add(1, std::memory_order_relaxed); }
 
   /// Verdict for a frame whose model call failed (DESIGN.md Sections 9 and
   /// 14). A cancelled call wedges the frame, and a second wedge poisons it:
@@ -287,9 +280,10 @@ struct FfsVaInstance::Stream {
     return may_bypass && cfg.degrade_policy == DegradePolicy::kBypass;
   }
 
-  /// The one place a frame's trip ends: counts the fate on the stream and
-  /// in the registry, records its latency, then ticks `terminated` — last,
-  /// so a quiesced stream's accounting (and, for kEmit, delivery) is final.
+  /// The one place a frame's trip ends: counts the fate on the stream,
+  /// records its latency, then ticks `terminated` — last, so a quiesced
+  /// stream's accounting (and, for kEmit, delivery) is final. A filter drop
+  /// needs no counter of its own: it is the stage's `in - passed`.
   void finish(Fate fate, double ms) {
     static_assert(static_cast<int>(Fate::kDropRef) == kRef);
     const auto f = static_cast<std::size_t>(fate);
@@ -297,20 +291,17 @@ struct FfsVaInstance::Stream {
       case Fate::kDropSdd:
       case Fate::kDropSnm:
       case Fate::kDropTyolo:
-        hot->drop[f]->add();
         break;
       case Fate::kDropRef:
-        hot->drop[f]->add();
-        hot->drop_latency_ms->record(ms);
+        hot->latency_drop_ms->record(ms);
         break;
       case Fate::kEmit:
         passed[kRef].fetch_add(1, std::memory_order_relaxed);
-        hot->passed[kRef]->add();
         hot->output_latency_ms->record(ms);
         break;
       case Fate::kDiscard:
         discarded.fetch_add(1, std::memory_order_relaxed);
-        hot->drop_latency_ms->record(ms);
+        hot->latency_drop_ms->record(ms);
         break;
       case Fate::kIngestLoss:
         dropped_ingest.fetch_add(1, std::memory_order_relaxed);
@@ -333,7 +324,6 @@ struct FfsVaInstance::Stream {
       return true;
     }
     passed[st].fetch_add(1, std::memory_order_relaxed);
-    hot->passed[st]->add();
     if (push(item)) return true;
     finish(Fate::kDiscard, item);
     return false;
@@ -488,13 +478,6 @@ bool FfsVaInstance::export_trace(const std::string& path) const {
 }
 
 void FfsVaInstance::wire_metrics() {
-  static constexpr const char* kStageNames[kNumStages] = {"sdd", "snm", "tyolo", "ref"};
-  for (int st = 0; st < kNumStages; ++st) {
-    const std::string name = kStageNames[st];
-    hot_.in[st] = &metrics_.counter(name + ".in");
-    hot_.passed[st] = &metrics_.counter(name + ".passed");
-    hot_.drop[st] = &metrics_.counter("drop." + name);
-  }
   hot_.snm_batches = &metrics_.counter("executor.snm_batches");
   hot_.tyolo_picks = &metrics_.counter("executor.tyolo_picks");
   hot_.batch_size = &metrics_.histogram("executor.batch_size");
@@ -506,93 +489,8 @@ void FfsVaInstance::wire_metrics() {
   hot_.mosaic_fill = &metrics_.histogram("ref.mosaic_fill");
   hot_.ref_full_frame = &metrics_.counter("ref.full_frame_fallbacks");
   hot_.ref_seam_suppressed = &metrics_.counter("ref.seam_suppressed");
-  hot_.drop_latency_ms = &metrics_.histogram("latency.drop_ms");
+  hot_.latency_drop_ms = &metrics_.histogram("latency.drop_ms");
   hot_.recovery_ms = &metrics_.histogram("latency.recovery_ms");
-
-  // Ingest/fault/supervision state with no registry counter lives in Stream
-  // and instance atomics (single-writer cells the prefetch loop and the
-  // watchdog tick), surfaced as gauges polled at snapshot time.
-  // Every gauge below scans the stream slots bounded by num_streams(), not
-  // the vector's size: the count is the release/acquire publication point
-  // for dynamically added streams (see the streams_ member comment).
-  const auto sum = [this](auto member) {
-    return [this, member]() {
-      std::uint64_t total = 0;
-      const int n = num_streams();
-      for (int i = 0; i < n; ++i) {
-        total += ((*streams_[static_cast<std::size_t>(i)]).*member)
-                     .load(std::memory_order_relaxed);
-      }
-      return static_cast<double>(total);
-    };
-  };
-  metrics_.gauge("prefetch.in", sum(&Stream::prefetch_in));
-  metrics_.gauge("prefetch.passed", sum(&Stream::prefetch_passed));
-  metrics_.gauge("drop.ingest", sum(&Stream::dropped_ingest));
-  // Codec-aware ingest (same schema, same registry; gauges so the prefetch
-  // loop stays registry-free and its facts live in stream atomics — see
-  // above).
-  metrics_.gauge("decode.full", sum(&Stream::decode_full));
-  metrics_.gauge("decode.skipped", sum(&Stream::decode_skipped));
-  metrics_.gauge("sdd.hint_pass", sum(&Stream::hint_passes));
-  metrics_.gauge("sdd.hint_fallback", sum(&Stream::hint_fallbacks));
-  const auto decode_quantile = [this](double q) {
-    return [this, q]() {
-      telemetry::HistogramSnapshot merged;
-      const int n = num_streams();
-      for (int i = 0; i < n; ++i) {
-        merged.merge(streams_[static_cast<std::size_t>(i)]->decode_ms.snapshot());
-      }
-      return merged.count ? merged.quantile(q) : 0.0;
-    };
-  };
-  metrics_.gauge("latency.decode_p50_ms", decode_quantile(0.5));
-  metrics_.gauge("latency.decode_p99_ms", decode_quantile(0.99));
-  metrics_.gauge("fault.decode_errors", sum(&Stream::decode_errors));
-  metrics_.gauge("fault.retries", sum(&Stream::retries));
-  metrics_.gauge("fault.restarts", sum(&Stream::restarts));
-  metrics_.gauge("fault.degraded_frames", sum(&Stream::degraded));
-  metrics_.gauge("fault.discarded_frames", sum(&Stream::discarded));
-  metrics_.gauge("fault.cancelled_calls", sum(&Stream::cancels));
-  metrics_.gauge("fault.poisoned_frames", sum(&Stream::poisoned));
-  metrics_.gauge("streams.quarantined", [this] {
-    double q = 0;
-    const int n = num_streams();
-    for (int i = 0; i < n; ++i) {
-      if (streams_[static_cast<std::size_t>(i)]->quarantined.load(
-              std::memory_order_relaxed)) {
-        ++q;
-      }
-    }
-    return q;
-  });
-  metrics_.gauge("supervise.stall_ticks", [this] {
-    return static_cast<double>(
-        stage_stall_ticks_.load(std::memory_order_relaxed));
-  });
-  // Escalation rollups (DESIGN.md Section 14) — same schema, same registry.
-  metrics_.gauge("supervision.cancels", [this] {
-    return static_cast<double>(cancels_.load(std::memory_order_relaxed));
-  });
-  metrics_.gauge("supervision.stage_restarts", [this] {
-    return static_cast<double>(stage_restarts_.load(std::memory_order_relaxed));
-  });
-  metrics_.gauge("supervision.poisoned_frames", sum(&Stream::poisoned));
-  const auto depth_sum = [this](runtime::BoundedQueue<Item> Stream::* q) {
-    return [this, q]() {
-      std::size_t total = 0;
-      const int n = num_streams();
-      for (int i = 0; i < n; ++i) {
-        total += ((*streams_[static_cast<std::size_t>(i)]).*q).depth();
-      }
-      return static_cast<double>(total);
-    };
-  };
-  metrics_.gauge("queue.sdd", depth_sum(&Stream::sdd_q));
-  metrics_.gauge("queue.snm", depth_sum(&Stream::snm_q));
-  metrics_.gauge("queue.tyolo", depth_sum(&Stream::tyolo_q));
-  metrics_.gauge("queue.ref",
-                 [this] { return static_cast<double>(ref_q_.depth()); });
 }
 
 InstanceStats FfsVaInstance::snapshot() const {
@@ -627,6 +525,68 @@ InstanceStats FfsVaInstance::snapshot() const {
   h.stopped = stop_.stop_requested();
   h.deadline_hit = deadline_hit_.load(std::memory_order_relaxed);
   return snap;
+}
+
+telemetry::MetricsSnapshot FfsVaInstance::metrics_snapshot() const {
+  telemetry::MetricsSnapshot m = metrics_.snapshot();
+  const InstanceStats snap = snapshot();
+  const StreamStats agg = snap.aggregate();
+
+  static constexpr const char* kStageNames[kNumStages] = {"sdd", "snm", "tyolo", "ref"};
+  const runtime::StageCounters* stage[kNumStages] = {&agg.sdd, &agg.snm, &agg.tyolo,
+                                                     &agg.ref};
+  for (int st = 0; st < kNumStages; ++st) {
+    const std::string name = kStageNames[st];
+    m.counters.emplace_back(name + ".in", stage[st]->in);
+    m.counters.emplace_back(name + ".passed", stage[st]->passed);
+    m.counters.emplace_back("drop." + name, stage[st]->filtered());  // saturating
+  }
+
+  // The decode histograms are read live here rather than through
+  // snapshot(), which would copy them on every poll.
+  telemetry::HistogramSnapshot decode;
+  std::size_t depth[3] = {};
+  for (const StreamStats& ss : snap.streams) {
+    decode.merge(streams_[static_cast<std::size_t>(ss.id)]->decode_ms.snapshot());
+    depth[0] += ss.sdd_queue_depth;
+    depth[1] += ss.snm_queue_depth;
+    depth[2] += ss.tyolo_queue_depth;
+  }
+  const HealthSummary& h = snap.health;
+  const auto& f = agg.fault;
+  const auto d = [](auto v) { return static_cast<double>(v); };
+  m.gauges.insert(m.gauges.end(), {
+      {"prefetch.in", d(agg.prefetch.in)},
+      {"prefetch.passed", d(agg.prefetch.passed)},
+      {"drop.ingest", d(agg.dropped_at_ingest)},
+      {"decode.full", d(agg.ingest.decode_full)},
+      {"decode.skipped", d(agg.ingest.decode_skipped)},
+      {"sdd.hint_pass", d(agg.ingest.hint_passes)},
+      {"sdd.hint_fallback", d(agg.ingest.hint_fallbacks)},
+      {"latency.decode_p50_ms", decode.count ? decode.quantile(0.5) : 0.0},
+      {"latency.decode_p99_ms", decode.count ? decode.quantile(0.99) : 0.0},
+      {"fault.decode_errors", d(f.decode_errors)},
+      {"fault.retries", d(f.retries)},
+      {"fault.restarts", d(f.restarts)},
+      {"fault.degraded_frames", d(f.degraded_frames)},
+      {"fault.discarded_frames", d(f.discarded_frames)},
+      {"fault.cancelled_calls", d(f.cancelled_calls)},
+      {"fault.poisoned_frames", d(f.poisoned_frames)},
+      {"streams.quarantined", d(h.quarantined_streams)},
+      {"supervise.stall_ticks", d(h.stage_stall_ticks)},
+      {"supervision.cancels", d(h.cancels)},
+      {"supervision.stage_restarts", d(h.stage_restarts)},
+      {"supervision.poisoned_frames", d(f.poisoned_frames)},
+      {"queue.sdd", d(depth[0])},
+      {"queue.snm", d(depth[1])},
+      {"queue.tyolo", d(depth[2])},
+      {"queue.ref", d(snap.ref_queue_depth)},
+  });
+
+  const auto by_name = [](const auto& a, const auto& b) { return a.first < b.first; };
+  std::sort(m.counters.begin(), m.counters.end(), by_name);
+  std::sort(m.gauges.begin(), m.gauges.end(), by_name);
+  return m;
 }
 
 void FfsVaInstance::stop() {
@@ -735,7 +695,7 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
         throw;
       }
     };
-    const Call decoded = guarded_call(&s->hb, s->prefetch_call, s->id, frame_no, read);
+    const Call decoded = guarded_call(s->prefetch_call, s->id, frame_no, read);
     if (decoded != Call::kOk) {
       // A cancelled decode under quarantine means the stream is already
       // being torn down — just exit (the watchdog counted the cancel).
@@ -782,8 +742,7 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
                                    s->id, item.frame.index);
           dist = s->models.sdd->distance(item.frame.image);
         };
-        const Call c =
-            guarded_call(nullptr, s->prefetch_call, s->id, item.frame.index, measure);
+        const Call c = guarded_call(s->prefetch_call, s->id, item.frame.index, measure);
         if (c == Call::kOk) {
           csdd->anchor(dist);
           pass = dist > s->models.sdd->config().delta_diff;
@@ -797,26 +756,22 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
       s->prefetch_passed.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    if (online) {
-      limiter.acquire();
-      // Overload behaviour: a live camera cannot block — if the pipeline
-      // cannot absorb the frame within one frame time, the frame is lost
-      // and counted (ClusterManager re-forwards an overloaded instance's
-      // streams from its snapshots).
-      if (!s->sdd_q.push_for(std::move(item), frame_interval)) {
-        if (s->sdd_q.closed()) {
-          // stop()/quarantine closed it under us; the ingested frame is lost.
-          s->finish(Fate::kDiscard, item);
-          break;
-        }
-        s->finish(Fate::kIngestLoss, item);
-        continue;
+    // Offline the push blocks on the SDD threshold and fails only on a
+    // closed queue. A live camera cannot block: a frame the pipeline cannot
+    // absorb within one frame time is lost and counted (ClusterManager
+    // re-forwards an overloaded instance's streams from its snapshots).
+    if (online) limiter.acquire();
+    const bool handed = online ? s->sdd_q.push_for(std::move(item), frame_interval)
+                               : s->sdd_q.push(std::move(item));
+    if (!handed) {
+      // The frame was counted into prefetch_in, so it terminates here.
+      if (s->sdd_q.closed()) {
+        // stop()/quarantine closed the queue under us.
+        s->finish(Fate::kDiscard, item);
+        break;
       }
-    } else if (!s->sdd_q.push(std::move(item))) {
-      // Queue closed underneath us (stop/quarantine): the frame was already
-      // counted into prefetch_in, so it must terminate here.
-      s->finish(Fate::kDiscard, item);
-      break;
+      s->finish(Fate::kIngestLoss, item);
+      continue;
     }
     s->prefetch_passed.fetch_add(1, std::memory_order_relaxed);
   }
@@ -847,7 +802,6 @@ void FfsVaInstance::run_stage(runtime::InflightCall& call,
 
 bool FfsVaInstance::sdd_worker_loop(int worker, bool allow_restart) {
   const int run_length = std::max(1, config_.sdd_run_length);
-  runtime::Heartbeat& hb = sdd_hb_[static_cast<std::size_t>(worker)];
   runtime::InflightCall& call = sdd_call_[static_cast<std::size_t>(worker)];
   int cursor = worker;  // stagger workers across streams
   for (;;) {
@@ -900,7 +854,7 @@ bool FfsVaInstance::sdd_worker_loop(int worker, bool allow_restart) {
                                    item->frame.index);
           pass = s.models.sdd->pass(item->frame.image);
         };
-        const Call c = guarded_call(&hb, call, s.id, item->frame.index, filter);
+        const Call c = guarded_call(call, s.id, item->frame.index, filter);
         // Degrade per frame, never per stream: drop terminates the frame
         // here; bypass rides it to SNM.
         if (c != Call::kOk) pass = s.fault_verdict(*item, c, /*may_bypass=*/true);
@@ -982,8 +936,7 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
         det = s.models.tyolo->detect(item->frame.image);
         pass = det.count_target(s.models.target, conf) >= config_.number_of_objects;
       };
-      const Call c =
-          guarded_call(&gpu0_hb_, gpu0_call_, s.id, item->frame.index, detect);
+      const Call c = guarded_call(gpu0_call_, s.id, item->frame.index, detect);
       if (c != Call::kOk) pass = s.fault_verdict(*item, c, /*may_bypass=*/true);
       ++served;
       const auto to_ref = [&](Item& it) {
@@ -1077,8 +1030,7 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
                                  static_cast<int>(items.size()));
         scores = s.models.snm->predict_batch(imgs);
       };
-      const Call c =
-          guarded_call(&gpu0_hb_, gpu0_call_, s.id, items.front().frame.index, predict);
+      const Call c = guarded_call(gpu0_call_, s.id, items.front().frame.index, predict);
       // The device call is batched, so a failure fails every frame in it:
       // each gets its own per-frame fault verdict below (conservation
       // holds); a cancel then restarts the executor under the stage budget.
@@ -1238,7 +1190,7 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
       // detect_batch re-raises a cancel after all its chunks join, so a
       // cancel fails the whole batch, like the SNM contract.
       const RefEntry& first = *batch.front();
-      c = guarded_call(&ref_hb_, ref_call_, first.stream, first.item.frame.index, eval);
+      c = guarded_call(ref_call_, first.stream, first.item.frame.index, eval);
 
       for (std::size_t i = 0; i < batch.size(); ++i) {
         RefEntry& e = *batch[i];
@@ -1288,9 +1240,17 @@ void FfsVaInstance::quarantine(Stream& s) {
   // call: the source unwinds via CancelledError at its next cancellation
   // check, the loop observes the quarantine and exits, and run()'s join is
   // bounded. (timeout -1: cancel whatever is in flight, however young.)
-  if (s.prefetch_call.try_cancel(runtime::steady_now_ms(), -1)) {
-    cancels_.fetch_add(1, std::memory_order_relaxed);
-    s.cancels.fetch_add(1, std::memory_order_relaxed);
+  cancel_overrun(s.prefetch_call, runtime::steady_now_ms(), -1);
+}
+
+void FfsVaInstance::cancel_overrun(runtime::InflightCall& call, std::int64_t now_ms,
+                                   std::int64_t timeout_ms) {
+  if (!call.try_cancel(now_ms, timeout_ms)) return;
+  cancels_.fetch_add(1, std::memory_order_relaxed);
+  const int st = call.stream();
+  if (st >= 0 && st < num_streams()) {
+    auto& stream_cancels = streams_[static_cast<std::size_t>(st)]->cancels;
+    stream_cancels.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -1302,52 +1262,43 @@ void FfsVaInstance::supervise(Clock::time_point t0) {
     deadline_hit_.store(true, std::memory_order_relaxed);
     stop();
   }
+  // Both timeouts read one signal, the busy ages of the in-flight slots
+  // (0 = disarmed). Escalation step one (DESIGN.md Section 14): a call in
+  // flight past model_call_timeout_ms is cancelled. It unwinds via
+  // CancelledError at its next tile boundary, and the owning stage degrades
+  // (or poisons) the frame and restarts under the stage budget.
   const std::int64_t now = runtime::steady_now_ms();
-  // Escalation step one (DESIGN.md Section 14): a model call in flight past
-  // model_call_timeout_ms is cancelled. The call unwinds via CancelledError
-  // at its next tile boundary, the owning stage degrades (or poisons) the
-  // frame and restarts under the stage budget.
-  if (config_.model_call_timeout_ms > 0) {
-    const auto call_timeout =
-        static_cast<std::int64_t>(config_.model_call_timeout_ms);
-    const auto escalate = [&](runtime::InflightCall& call) {
-      if (!call.try_cancel(now, call_timeout)) return;
-      cancels_.fetch_add(1, std::memory_order_relaxed);
-      const int st = call.stream();
-      if (st >= 0 && st < num_streams()) {
-        streams_[static_cast<std::size_t>(st)]->cancels.fetch_add(
-            1, std::memory_order_relaxed);
-      }
-    };
-    for (auto& c : sdd_call_) escalate(c);
-    escalate(gpu0_call_);
-    escalate(ref_call_);
-    const int np = num_streams();
-    for (int i = 0; i < np; ++i) {
-      escalate(streams_[static_cast<std::size_t>(i)]->prefetch_call);
-    }
+  const std::int64_t call_timeout = config_.model_call_timeout_ms;
+  const std::int64_t stall_timeout = config_.stall_timeout_ms;
+  if (call_timeout > 0) {
+    for (auto& c : sdd_call_) cancel_overrun(c, now, call_timeout);
+    cancel_overrun(gpu0_call_, now, call_timeout);
+    cancel_overrun(ref_call_, now, call_timeout);
   }
-  if (config_.stall_timeout_ms <= 0) return;
-  const auto timeout = static_cast<std::int64_t>(config_.stall_timeout_ms);
-  const int nq = num_streams();
-  for (int i = 0; i < nq; ++i) {
-    auto& s = streams_[static_cast<std::size_t>(i)];
-    if (!s->quarantined.load(std::memory_order_acquire)) {
-      if (s->hb.busy_age_ms() > timeout) quarantine(*s);
-    } else if (s->prefetch_call.try_cancel(now, timeout)) {
+  const int n = num_streams();
+  for (int i = 0; i < n; ++i) {
+    Stream& s = *streams_[static_cast<std::size_t>(i)];
+    if (call_timeout > 0) cancel_overrun(s.prefetch_call, now, call_timeout);
+    if (stall_timeout <= 0) continue;
+    if (!s.quarantined.load(std::memory_order_acquire)) {
+      if (s.prefetch_call.busy_age_ms(now) > stall_timeout) quarantine(s);
+    } else {
       // A quarantined stream's prefetch thread is joined, not detached:
-      // keep cancelling any decode still wedged (e.g. a fresh call that
-      // raced the quarantine cancel) so the join stays bounded.
-      cancels_.fetch_add(1, std::memory_order_relaxed);
-      s->cancels.fetch_add(1, std::memory_order_relaxed);
+      // keep cancelling any call still wedged (e.g. a fresh one that raced
+      // the quarantine cancel) so the join stays bounded.
+      cancel_overrun(s.prefetch_call, now, stall_timeout);
     }
   }
+  if (stall_timeout <= 0) return;
   // Shared stages (SDD pool, GPU0 executor, reference thread) serve every
   // stream, so they cannot be quarantined per stream — a stall there is
   // surfaced in the health summary (and, with model_call_timeout_ms armed,
   // already being acted on by the cancellation scan above).
-  bool stalled = gpu0_hb_.busy_age_ms() > timeout || ref_hb_.busy_age_ms() > timeout;
-  for (const auto& hb : sdd_hb_) stalled = stalled || hb.busy_age_ms() > timeout;
+  bool stalled = gpu0_call_.busy_age_ms(now) > stall_timeout ||
+                 ref_call_.busy_age_ms(now) > stall_timeout;
+  for (const auto& c : sdd_call_) {
+    stalled = stalled || c.busy_age_ms(now) > stall_timeout;
+  }
   if (stalled) stage_stall_ticks_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -1366,8 +1317,8 @@ InstanceStats FfsVaInstance::run(bool online) {
                        t0.time_since_epoch())
                        .count(),
                    std::memory_order_relaxed);
-  // All registry handles and gauges exist before any stage thread starts —
-  // from here the hot path never touches the registry map.
+  // All registry handles exist before any stage thread starts — from here
+  // the hot path never touches the registry map.
   wire_metrics();
   if (tracing_requested_) trace().enable();
   if (!metrics_path_.empty()) {
@@ -1423,7 +1374,6 @@ InstanceStats FfsVaInstance::run(bool online) {
   // stream count — it sizes it for its slot reservation instead, parked on
   // the eventcount until streams arrive.
   const int workers = sdd_pool_size(serve ? config_.max_streams : unfused);
-  sdd_hb_ = std::vector<runtime::Heartbeat>(static_cast<std::size_t>(workers));
   sdd_call_ = std::vector<runtime::InflightCall>(static_cast<std::size_t>(workers));
 
   // thread-ok: per-stream prefetch threads — a camera/decoder is inherently
@@ -1457,19 +1407,18 @@ InstanceStats FfsVaInstance::run(bool online) {
     run_stage(ref_call_, [&](bool r) { return reference_loop(r, pending); });
   });
 
+  // The watchdog ticks at a quarter of the tightest armed timeout (at most
+  // every 50 ms) and stays off when none is armed.
   runtime::Watchdog watchdog;
-  if (config_.stall_timeout_ms > 0 || config_.run_deadline_ms > 0 ||
-      config_.model_call_timeout_ms > 0) {
-    int tick = 50;
-    if (config_.stall_timeout_ms > 0) {
-      tick = std::min(tick, std::max(1, config_.stall_timeout_ms / 4));
-    }
-    if (config_.run_deadline_ms > 0) {
-      tick = std::min(tick, std::max(1, config_.run_deadline_ms / 4));
-    }
-    if (config_.model_call_timeout_ms > 0) {
-      tick = std::min(tick, std::max(1, config_.model_call_timeout_ms / 4));
-    }
+  int tick = 50;
+  bool armed = false;
+  for (const int timeout_ms : {config_.stall_timeout_ms, config_.run_deadline_ms,
+                               config_.model_call_timeout_ms}) {
+    if (timeout_ms <= 0) continue;
+    armed = true;
+    tick = std::min(tick, std::max(1, timeout_ms / 4));
+  }
+  if (armed) {
     watchdog.start(std::chrono::milliseconds(tick), [this, t0] { supervise(t0); });
   }
 

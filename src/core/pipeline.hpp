@@ -263,12 +263,20 @@ class FfsVaInstance {
   /// report-only fields. Allocates only the stream rows.
   InstanceStats snapshot() const;
 
-  /// The instance's metrics registry (counters/gauges/histograms the stage
-  /// threads record into). Snapshot it directly, or let the exporter below
-  /// sample it.
+  /// The instance's metrics registry: the executor/reference counters and
+  /// histograms the stage threads record into, plus any gauges a host
+  /// registers (NodeServer's node.* / net.*). Stage and fault counts are not
+  /// in it — they live in the stream atomics snapshot() reads.
   telemetry::Registry& metrics() { return metrics_; }
 
-  /// Sample the registry every config.metrics_interval_ms during run() and
+  /// What the exporter samples: the registry snapshot plus the stage
+  /// counters (`<stage>.in`, `<stage>.passed`, `drop.<stage>`) and the
+  /// ingest/fault/supervision/queue gauges, all derived from one
+  /// snapshot(). Sorted by name, like Registry::snapshot(). Thread-safe;
+  /// mid-run values are approximate (see StreamStats).
+  telemetry::MetricsSnapshot metrics_snapshot() const;
+
+  /// Sample metrics_snapshot() every config.metrics_interval_ms during run() and
   /// append JSONL rows to `path` (append mode). Call before run(); false if
   /// the file cannot be opened (export then stays off).
   bool enable_metrics_export(const std::string& path, std::string label = {});
@@ -340,6 +348,11 @@ class FfsVaInstance {
   /// stall observation. Runs on the watchdog thread.
   void supervise(std::chrono::steady_clock::time_point t0);
   void quarantine(Stream& s);
+  /// Cancel `call` if it has been in flight longer than `timeout_ms` (-1:
+  /// whatever is in flight), counting the cancel on the instance and on
+  /// the stream the call was serving.
+  void cancel_overrun(runtime::InflightCall& call, std::int64_t now_ms,
+                      std::int64_t timeout_ms);
 
   /// Resolved SDD pool size: config.sdd_workers, or the FFSVA_THREADS
   /// compute parallelism, capped by `eligible_streams` (the streams the
@@ -348,8 +361,7 @@ class FfsVaInstance {
   /// passes its slot reservation).
   int sdd_pool_size(int eligible_streams) const;
 
-  /// Register the run's gauges (queue depths, fault counters, supervision
-  /// state) and cache the hot-path counter/histogram handles.
+  /// Cache the hot-path counter/histogram handles in `hot_`.
   void wire_metrics();
 
   FfsVaConfig config_;
@@ -403,14 +415,10 @@ class FfsVaInstance {
   /// watchdog cancels (also attributed per stream) and stage restarts.
   std::atomic<std::uint64_t> cancels_{0};
   std::atomic<std::uint64_t> stage_restarts_{0};
-  std::vector<runtime::Heartbeat> sdd_hb_;  ///< One per SDD worker.
-  runtime::Heartbeat gpu0_hb_;
-  runtime::Heartbeat ref_hb_;
   /// In-flight model-call registration slots, one per worker thread that
   /// runs model calls (SDD pool workers, the GPU0 executor, the reference
-  /// thread; each Stream holds its prefetch slot). The watchdog scans these
-  /// to attribute a stall to a specific {worker, stream, frame} and cancel
-  /// exactly that call.
+  /// thread; each Stream holds its prefetch slot). The watchdog reads their
+  /// busy ages as the stall signal and cancels exactly the wedged call.
   std::vector<runtime::InflightCall> sdd_call_;
   runtime::InflightCall gpu0_call_;
   runtime::InflightCall ref_call_;
@@ -420,20 +428,22 @@ class FfsVaInstance {
 
   // Telemetry. The registry lives in the instance; every stage thread —
   // prefetch included — joins before run() returns, so instance lifetime
-  // covers every recorder. Prefetch-only state (ingest and fault counters)
-  // reports through Stream atomics surfaced here as gauges; frame outcomes
-  // go through the Hot handles every Stream carries.
+  // covers every recorder. Frame, ingest and fault counts live only in
+  // Stream atomics; the exporter reads them through metrics_snapshot().
   telemetry::Registry metrics_;
-  telemetry::MetricsExporter exporter_{metrics_};
   std::ostream* metrics_sink_ = nullptr;
   std::string metrics_path_;
   std::string metrics_label_;
   bool tracing_requested_ = false;
   std::atomic<bool> running_{false};
   std::atomic<std::int64_t> run_t0_ns_{0};
+  /// Declared after everything metrics_snapshot() reads: its sampler thread
+  /// (stopped by run(), or at the latest by its destructor) never outlives
+  /// them.
+  telemetry::MetricsExporter exporter_{[this] { return metrics_snapshot(); }};
 
   /// The four stages of the cascade, in order; indexes every per-stage
-  /// table (stream counters, registry handles, terminal fates).
+  /// table (stream counters, exported counter names, terminal fates).
   enum StageId : int { kSdd, kSnm, kTyolo, kRef, kNumStages };
 
   /// Hot-path handles, resolved once in wire_metrics() so stage loops never
@@ -441,9 +451,6 @@ class FfsVaInstance {
   /// thread that finishes a frame — prefetch included — records into the
   /// same registry.
   struct Hot {
-    telemetry::Counter* in[kNumStages] = {};      ///< "<stage>.in"
-    telemetry::Counter* passed[kNumStages] = {};  ///< "<stage>.passed"
-    telemetry::Counter* drop[kNumStages] = {};    ///< "drop.<stage>"
     telemetry::Counter* snm_batches = nullptr;
     telemetry::Counter* tyolo_picks = nullptr;
     telemetry::AtomicHistogram* batch_size = nullptr;
@@ -459,7 +466,7 @@ class FfsVaInstance {
     /// Ingest-to-drop latency of frames the reference stage dropped and of
     /// frames discarded anywhere — kept OUT of latency.output_ms so the
     /// output distribution describes only emitted frames.
-    telemetry::AtomicHistogram* drop_latency_ms = nullptr;
+    telemetry::AtomicHistogram* latency_drop_ms = nullptr;
     /// Time from a watchdog cancel to the affected stage serving again
     /// (after its restart backoff) — the time-to-recovery distribution of
     /// the escalation path (DESIGN.md Section 14).

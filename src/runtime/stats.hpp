@@ -7,6 +7,7 @@
 // p50/p90/p99 tables in EXPERIMENTS.md.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -85,7 +86,9 @@ struct StageCounters {
     passed += o.passed;
     return *this;
   }
-  std::uint64_t filtered() const { return in - passed; }
+  /// in − passed, saturating: a mid-run row reads the two counters with
+  /// separate relaxed loads and may see `passed` ahead of `in`.
+  std::uint64_t filtered() const { return in - std::min(in, passed); }
   double pass_rate() const {
     return in ? static_cast<double>(passed) / static_cast<double>(in) : 0.0;
   }

@@ -3,7 +3,7 @@
 // advisory (see runtime/cancel.hpp).
 //
 // Supervision primitives for the threaded pipeline engine: cooperative
-// cancellation, stage heartbeats, and a watchdog thread.
+// cancellation, in-flight call slots, and a watchdog thread.
 //
 // The engine's availability contract (DESIGN.md Section 9) is that a fault
 // in one stream — a hung decoder, a throwing model — must stay a bounded,
@@ -14,19 +14,18 @@
 //    same state, so a token handed to a worker thread outlives the object
 //    that issued it (std::stop_token is not used because the engine needs
 //    to pair the flag with queue closes, not with std::jthread).
-//  * Heartbeat — a stage publishes busy()/idle() transitions around calls
-//    that may hang (a source decode, a model forward). Blocking on a
-//    bounded queue is *healthy* backpressure and is reported as idle; only
-//    time spent busy counts toward a stall.
-//  * Watchdog — one thread running a supplied check on a fixed tick. The
-//    engine's check compares heartbeat busy-ages against the configured
-//    stall timeout and quarantines the offending stream.
 //  * InflightCall / ModelCallGuard — a per-worker registration slot for the
-//    cancellable model call currently in flight, so the watchdog can
-//    attribute a stall to a specific {worker, stream, frame} and cancel
-//    exactly that call instead of only observing it.
+//    call that may hang (a source decode, a model forward). The slot is the
+//    engine's only liveness signal: its busy age is the stall clock (time
+//    blocked on a bounded queue between calls is healthy backpressure and
+//    reads as idle), and it lets the watchdog attribute a stall to a
+//    specific {worker, stream, frame} and cancel exactly that call.
+//  * Watchdog — one thread running a supplied check on a fixed tick. The
+//    engine's check compares slot busy-ages against the configured stall
+//    and call timeouts, quarantining or cancelling the offender.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -39,7 +38,7 @@
 
 namespace ffsva::runtime {
 
-/// Milliseconds on the steady clock (monotonic; heartbeat timebase).
+/// Milliseconds on the steady clock (monotonic; the watchdog's timebase).
 inline std::int64_t steady_now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -57,26 +56,6 @@ class StopToken {
 
  private:
   std::shared_ptr<std::atomic<bool>> state_;
-};
-
-/// One stage's liveness signal. The stage marks busy() immediately before a
-/// call that may hang and idle() when it returns; the watchdog reads
-/// busy_age_ms() to detect a stall. Single-writer (the stage thread),
-/// any-reader (the watchdog).
-class Heartbeat {
- public:
-  void busy() { busy_since_ms_.store(steady_now_ms(), std::memory_order_release); }
-  void idle() { busy_since_ms_.store(-1, std::memory_order_release); }
-
-  /// Milliseconds the stage has been inside its current busy section, or -1
-  /// when the stage is idle (parked, blocked on backpressure, or finished).
-  std::int64_t busy_age_ms() const {
-    const std::int64_t t = busy_since_ms_.load(std::memory_order_acquire);
-    return t < 0 ? -1 : steady_now_ms() - t;
-  }
-
- private:
-  std::atomic<std::int64_t> busy_since_ms_{-1};
 };
 
 /// One worker slot's cancellable in-flight model call. Single-writer for
@@ -109,13 +88,21 @@ class InflightCall {
   /// The token a ModelCallGuard installs for the call's duration.
   const CancelToken& token() const { return token_; }
 
+  /// Watchdog: milliseconds the current call has been in flight at
+  /// `now_ms`, or -1 when the slot is idle (no call registered, or the
+  /// stage is parked or blocked on backpressure between calls). A new call
+  /// restarts the clock.
+  std::int64_t busy_age_ms(std::int64_t now_ms) const {
+    if ((seq_.load(std::memory_order_acquire) & 1U) == 0) return -1;
+    const std::int64_t start = start_ms_.load(std::memory_order_relaxed);
+    return start < 0 ? -1 : std::max<std::int64_t>(0, now_ms - start);
+  }
+
   /// Watchdog: cancel the in-flight call if it has been running for more
   /// than timeout_ms. Returns true when a cancel was issued.
+  /// timeout_ms -1 cancels whatever is in flight, however young.
   bool try_cancel(std::int64_t now_ms, std::int64_t timeout_ms) {
-    const std::uint64_t s = seq_.load(std::memory_order_acquire);
-    if ((s & 1U) == 0) return false;  // idle
-    const std::int64_t start = start_ms_.load(std::memory_order_relaxed);
-    if (start < 0 || now_ms - start <= timeout_ms) return false;
+    if (busy_age_ms(now_ms) <= timeout_ms) return false;  // idle reads -1
     if (token_.cancelled()) return false;  // already cancelled; don't recount
     cancelled_at_ms_.store(now_ms, std::memory_order_relaxed);
     token_.cancel();

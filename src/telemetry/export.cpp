@@ -20,6 +20,23 @@ void append_number(std::string& out, double v) {
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   out += buf;
 }
+
+/// `v` as a JSON string body: quote, backslash and control characters
+/// escaped, everything else (UTF-8 included) passed through.
+void append_escaped(std::string& out, const std::string& v) {
+  for (const char c : v) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+}
 }  // namespace
 
 std::string metrics_jsonl_row(const MetricsSnapshot& cur,
@@ -36,7 +53,7 @@ std::string metrics_jsonl_row(const MetricsSnapshot& cur,
   }
   if (!label.empty()) {
     out += ",\"label\":\"";
-    out += label;  // labels are caller-controlled identifiers, not user text
+    append_escaped(out, label);
     out += '"';
   }
 
@@ -151,7 +168,7 @@ void MetricsExporter::sample_once() {
   const double t_sec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
           .count();
-  MetricsSnapshot cur = registry_.snapshot();
+  MetricsSnapshot cur = sampler_();
   const double dt = t_sec - (have_prev_ ? prev_t_sec_ : 0.0);
   *sink_ << metrics_jsonl_row(cur, have_prev_ ? &prev_ : nullptr, t_sec, dt,
                               label_, node_id_)

@@ -1,16 +1,19 @@
-// Live metrics export: a sampler thread that periodically snapshots a
-// Registry and appends one JSON object per sample to a sink (JSONL).
+// Live metrics export: a sampler thread that periodically calls a supplied
+// sampler for a MetricsSnapshot and appends one JSON object per sample to a
+// sink (JSONL). The engine's sampler is FfsVaInstance::metrics_snapshot()
+// (its registry plus counters and gauges derived from one snapshot()); a
+// bare registry is sampled with `[&reg] { return reg.snapshot(); }`.
 //
 // Each row carries the sample time, every counter (cumulative), per-counter
 // rates over the sampling interval (this is where per-stage FPS and drop
-// rates come from), every gauge (instantaneous: queue depths, prefetch-side
-// cumulative counters kept as stream atomics), and a summary of every
-// histogram (count/mean/p50/p99/max). The sampler takes one final sample on
-// stop(), so short runs still produce at least one row.
+// rates come from), every gauge (instantaneous: queue depths, ingest and
+// fault totals), and a summary of every histogram (count/mean/p50/p99/max).
+// The sampler takes one final sample on stop(), so short runs still produce
+// at least one row.
 //
 // The exporter owns no metric state — it is safe to start before the
-// pipeline's threads and must be stopped before the Registry (or anything
-// its gauge callbacks read) is destroyed.
+// pipeline's threads and must be stopped before anything its sampler reads
+// is destroyed.
 //
 // relaxed-ok: samples_ is a monotonic progress counter polled by tests;
 // the sampler's state is otherwise confined to its thread and the
@@ -25,6 +28,7 @@
 #include <ostream>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "runtime/annotations.hpp"
 #include "telemetry/metrics.hpp"
@@ -36,6 +40,7 @@ namespace ffsva::telemetry {
 /// `prev` may be null for the first sample (rates then span [0, t]).
 /// `node_id` >= 0 stamps a `"node_id"` field into the row, so rows from
 /// several cluster nodes can share one archive and still be attributed.
+/// The label is JSON-escaped (it may come straight from a command line).
 std::string metrics_jsonl_row(const MetricsSnapshot& cur,
                               const MetricsSnapshot* prev, double t_sec,
                               double dt_sec, const std::string& label,
@@ -43,7 +48,10 @@ std::string metrics_jsonl_row(const MetricsSnapshot& cur,
 
 class MetricsExporter {
  public:
-  explicit MetricsExporter(Registry& registry) : registry_(registry) {}
+  /// `sampler` runs on the sampler thread (and once more in stop()), so it
+  /// must be safe to call concurrently with whatever records the metrics.
+  explicit MetricsExporter(std::function<MetricsSnapshot()> sampler)
+      : sampler_(std::move(sampler)) {}
   ~MetricsExporter() { stop(); }
 
   MetricsExporter(const MetricsExporter&) = delete;
@@ -74,7 +82,7 @@ class MetricsExporter {
   void loop(int interval_ms);
   void sample_once();
 
-  Registry& registry_;
+  std::function<MetricsSnapshot()> sampler_;
   // Sink plumbing and sample history are written by start()/stop() and the
   // sampler thread, ordered by the thread create/join edges — the mutex
   // below exists only for the stop handshake.

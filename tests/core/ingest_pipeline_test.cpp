@@ -122,8 +122,8 @@ TEST(HintedIngest, MatchesFullPolicySurvivors) {
 
 TEST(HintedIngest, RegistrySddCountersMatchStreamStats) {
   // The fused prefetch+SDD stage ends frames through the same sink as the
-  // SDD pool, so the registry's SDD counters agree with the per-stream
-  // stats on a hinted run.
+  // SDD pool, so the exported SDD counters agree with the per-stream stats
+  // on a hinted run.
   auto& s = shared_stream();
   FfsVaConfig cfg;
   cfg.decode_policy = DecodePolicy::kHinted;
@@ -138,10 +138,10 @@ TEST(HintedIngest, RegistrySddCountersMatchStreamStats) {
     passed += st.sdd.passed;
   }
   EXPECT_EQ(in, 600u);
-  auto& m = instance.metrics();
-  EXPECT_EQ(m.counter("sdd.in").value(), in);
-  EXPECT_EQ(m.counter("sdd.passed").value(), passed);
-  EXPECT_EQ(m.counter("drop.sdd").value(), in - passed);
+  const auto m = instance.metrics_snapshot();
+  EXPECT_EQ(m.counter_or("sdd.in"), in);
+  EXPECT_EQ(m.counter_or("sdd.passed"), passed);
+  EXPECT_EQ(m.counter_or("drop.sdd"), in - passed);
 }
 
 TEST(HintedIngest, StaticThresholdSkipsMostDecodes) {

@@ -145,5 +145,12 @@ TEST(StageCounters, PassRate) {
   EXPECT_EQ(c.filtered(), 6u);
 }
 
+TEST(StageCounters, FilteredSaturatesOnASkewedRead) {
+  // A mid-run snapshot may read `passed` ahead of `in`; the drop count
+  // derived from it must read 0, not wrap to ~2^64.
+  const StageCounters c{/*in=*/5, /*passed=*/6};
+  EXPECT_EQ(c.filtered(), 0u);
+}
+
 }  // namespace
 }  // namespace ffsva::runtime

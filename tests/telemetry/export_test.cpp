@@ -1,6 +1,6 @@
 // Metrics export: JSONL row serialization (values, rates, gauges, histogram
-// summaries, counter-regression handling) and the sampler thread (periodic
-// rows, final sample on stop, file append mode).
+// summaries, counter-regression handling, label escaping) and the sampler
+// thread (periodic rows, final sample on stop, file append mode).
 #include "telemetry/export.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 
+#include "json_reader.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace ffsva::telemetry {
@@ -83,11 +84,26 @@ TEST(JsonlRow, HistogramSummaryAndNonFiniteGauges) {
   EXPECT_NE(row.find("\"bad\":0"), std::string::npos) << row;
 }
 
+TEST(JsonlRow, LabelIsEscapedIntoValidJson) {
+  // A label comes straight from `ffsva_node --label`: quotes, backslashes
+  // and control characters must not break the row.
+  const std::string label = "a\"b\\c\nd\te\x01" "f";
+  const std::string row = metrics_jsonl_row(snap_with(3, 1, 2.0), nullptr, 1.0, 1.0,
+                                            label, /*node_id=*/7);
+  EXPECT_EQ(row.find('\n'), std::string::npos) << row;  // still one line
+  const auto parsed = testing::parse_json(row);
+  ASSERT_TRUE(parsed.has_value()) << row;
+  EXPECT_EQ(parsed->strings.at("label"), label);
+  EXPECT_EQ(parsed->numbers.at("node_id"), 7.0);
+  EXPECT_EQ(parsed->numbers.at("counters/stage.in"), 3.0);
+  EXPECT_EQ(parsed->numbers.at("gauges/queue.depth"), 2.0);
+}
+
 TEST(Exporter, PeriodicSamplingIntoStream) {
   Registry reg;
   Counter& c = reg.counter("events");
   std::ostringstream sink;
-  MetricsExporter exporter(reg);
+  MetricsExporter exporter([&reg] { return reg.snapshot(); });
   exporter.start_stream(&sink, /*interval_ms=*/5, "exp");
   EXPECT_TRUE(exporter.running());
   for (int i = 0; i < 50; ++i) {
@@ -109,7 +125,7 @@ TEST(Exporter, StopAlwaysTakesAFinalSample) {
   Registry reg;
   reg.counter("events").add(7);
   std::ostringstream sink;
-  MetricsExporter exporter(reg);
+  MetricsExporter exporter([&reg] { return reg.snapshot(); });
   // Interval far longer than the run: the periodic loop never fires.
   exporter.start_stream(&sink, /*interval_ms=*/60000);
   exporter.stop();
@@ -125,12 +141,12 @@ TEST(Exporter, FileSinkAppendsAcrossRuns) {
   Registry reg;
   reg.counter("events").add(1);
   {
-    MetricsExporter exporter(reg);
+    MetricsExporter exporter([&reg] { return reg.snapshot(); });
     ASSERT_TRUE(exporter.start_file(path, 60000, "first"));
     exporter.stop();
   }
   {
-    MetricsExporter exporter(reg);
+    MetricsExporter exporter([&reg] { return reg.snapshot(); });
     ASSERT_TRUE(exporter.start_file(path, 60000, "second"));
     exporter.stop();
   }
@@ -147,7 +163,7 @@ TEST(Exporter, FileSinkAppendsAcrossRuns) {
 
 TEST(Exporter, StartFileFailsOnBadPath) {
   Registry reg;
-  MetricsExporter exporter(reg);
+  MetricsExporter exporter([&reg] { return reg.snapshot(); });
   EXPECT_FALSE(exporter.start_file("/nonexistent-dir/x/metrics.jsonl", 100));
   EXPECT_FALSE(exporter.running());
 }

@@ -1,14 +1,16 @@
 // Telemetry against the real threaded engine: the chrome-trace exporter and
-// JSONL metrics stream produced by an actual run, snapshot() polled safely
-// while 32 streams are in flight (this binary carries the tsan label), and
-// ClusterManager re-forwarding driven solely by live FfsVaInstance
-// snapshots — the paper's Section 4.3.1 control loop closed end to end.
+// JSONL metrics stream produced by an actual run (its schema pinned key by
+// key), snapshot() and metrics_snapshot() polled safely while streams are in
+// flight (this binary carries the tsan label), and ClusterManager
+// re-forwarding driven solely by live FfsVaInstance snapshots — the paper's
+// Section 4.3.1 control loop closed end to end.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -16,6 +18,7 @@
 
 #include "core/cluster.hpp"
 #include "core/pipeline.hpp"
+#include "json_reader.hpp"
 #include "video/profiles.hpp"
 
 namespace ffsva::core {
@@ -119,10 +122,107 @@ TEST(PipelineTelemetry, RealRunExportsTraceAndMetrics) {
     EXPECT_NE(rows.find(key), std::string::npos) << key;
   }
 
-  // The counters agree with the run's frozen stats.
+  // The final row (stop()'s sample, taken after every stage joined) carries
+  // the exported schema exactly, each key in its section, and its stage
+  // counters and fault/prefetch gauges equal the run's frozen stats.
+  std::string last;
+  std::istringstream lines(rows);
+  for (std::string line; std::getline(lines, line);) last = line;
+  const auto row = telemetry::testing::parse_json(last);
+  ASSERT_TRUE(row.has_value()) << last;
+  const std::set<std::string> counters = {
+      "drop.ref", "drop.sdd", "drop.snm", "drop.tyolo", "executor.ref_batches",
+      "executor.snm_batches", "executor.tyolo_picks", "ref.full_frame_fallbacks",
+      "ref.in", "ref.passed", "ref.seam_suppressed", "sdd.in", "sdd.passed",
+      "snm.in", "snm.passed", "tyolo.in", "tyolo.passed"};
+  const std::set<std::string> gauges = {
+      "decode.full", "decode.skipped", "drop.ingest", "fault.cancelled_calls",
+      "fault.decode_errors", "fault.degraded_frames", "fault.discarded_frames",
+      "fault.poisoned_frames", "fault.restarts", "fault.retries",
+      "latency.decode_p50_ms", "latency.decode_p99_ms", "prefetch.in",
+      "prefetch.passed", "queue.ref", "queue.sdd", "queue.snm", "queue.tyolo",
+      "sdd.hint_fallback", "sdd.hint_pass", "streams.quarantined",
+      "supervise.stall_ticks", "supervision.cancels", "supervision.poisoned_frames",
+      "supervision.stage_restarts"};
+  const std::set<std::string> hists = {
+      "executor.batch_size", "executor.ref_batch_size", "executor.tyolo_take",
+      "latency.drop_ms", "latency.output_ms", "latency.recovery_ms",
+      "ref.crops_per_mosaic", "ref.mosaic_fill"};
+  EXPECT_EQ(row->keys("counters"), counters);
+  EXPECT_EQ(row->keys("rates"), counters);
+  EXPECT_EQ(row->keys("gauges"), gauges);
+  EXPECT_EQ(row->keys("hist"), hists);
+  EXPECT_EQ(row->strings.at("label"), "itest");
+
   const auto agg = stats.aggregate();
-  EXPECT_NE(rows.rfind("\"ref.passed\":" + std::to_string(agg.ref.passed)),
-            std::string::npos);
+  const auto num = [&](const std::string& path) {
+    const auto it = row->numbers.find(path);
+    return it == row->numbers.end() ? -1.0 : it->second;
+  };
+  const std::pair<std::string, runtime::StageCounters> stages[] = {
+      {"sdd", agg.sdd}, {"snm", agg.snm}, {"tyolo", agg.tyolo}, {"ref", agg.ref}};
+  for (const auto& [name, c] : stages) {
+    EXPECT_EQ(num("counters/" + name + ".in"), static_cast<double>(c.in)) << name;
+    EXPECT_EQ(num("counters/" + name + ".passed"), static_cast<double>(c.passed))
+        << name;
+    EXPECT_EQ(num("counters/drop." + name), static_cast<double>(c.in - c.passed))
+        << name;
+  }
+  EXPECT_GT(agg.ref.passed, 0u);  // the world reaches every stage
+  const std::pair<const char*, std::uint64_t> totals[] = {
+      {"prefetch.in", agg.prefetch.in},
+      {"prefetch.passed", agg.prefetch.passed},
+      {"fault.decode_errors", agg.fault.decode_errors},
+      {"fault.retries", agg.fault.retries},
+      {"fault.restarts", agg.fault.restarts},
+      {"fault.degraded_frames", agg.fault.degraded_frames},
+      {"fault.discarded_frames", agg.fault.discarded_frames},
+      {"fault.cancelled_calls", agg.fault.cancelled_calls},
+      {"fault.poisoned_frames", agg.fault.poisoned_frames}};
+  for (const auto& [name, v] : totals) {
+    EXPECT_EQ(num(std::string("gauges/") + name), static_cast<double>(v)) << name;
+  }
+}
+
+// The exported drop counters are derived as `in - passed` from one mid-run
+// snapshot, whose two relaxed reads can skew: the subtraction must saturate,
+// never wrap, so no drop count ever exceeds the stage's input. The skew
+// window is a few nanoseconds, so this live check rarely sees one;
+// StageCounters.FilteredSaturatesOnASkewedRead pins the arithmetic.
+TEST(PipelineTelemetry, MetricsSnapshotDropsNeverExceedInputsMidRun) {
+  auto& w = world();
+  constexpr int kStreams = 16;
+  FfsVaConfig cfg;
+  FfsVaInstance instance(cfg);
+  for (int s = 0; s < kStreams; ++s) {
+    instance.add_stream(std::make_unique<ReplaySource>(&w.window, s), w.models);
+  }
+  instance.set_output_sink([](const OutputEvent&) {});
+
+  std::atomic<bool> done{false};
+  std::uint64_t polls = 0;
+  std::thread poller([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const auto m = instance.metrics_snapshot();
+      for (const char* stage : {"sdd", "snm", "tyolo", "ref"}) {
+        const std::string name = stage;
+        EXPECT_LE(m.counter_or("drop." + name), m.counter_or(name + ".in")) << name;
+      }
+      ++polls;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  const auto stats = instance.run(/*online=*/false);
+  done.store(true, std::memory_order_release);
+  poller.join();
+  EXPECT_GT(polls, 0u);
+
+  // Once the run has returned the derived counters are exact.
+  const auto m = instance.metrics_snapshot();
+  const auto agg = stats.aggregate();
+  EXPECT_EQ(m.counter_or("sdd.in"), agg.sdd.in);
+  EXPECT_EQ(m.counter_or("drop.snm"), agg.snm.in - agg.snm.passed);
+  EXPECT_EQ(m.counter_or("ref.passed"), agg.ref.passed);
 }
 
 TEST(PipelineTelemetry, SnapshotIsSafeAndMonotonicMidRun) {

@@ -1,17 +1,18 @@
 // Trace spans: per-thread ring recording, the enable/disable toggle, ring
 // overwrite bounds, multi-thread collection, and the chrome://tracing JSON
-// exporter (validated with a small structural JSON parser — the exported
+// exporter (validated with the strict test-side JSON reader — the exported
 // document must load in chrome://tracing / Perfetto, so well-formedness is
 // part of the contract).
 #include "telemetry/spans.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "json_reader.hpp"
 
 namespace ffsva::telemetry {
 namespace {
@@ -28,103 +29,6 @@ Span make_span(const char* name, Stage stage, std::int64_t t0, std::int64_t t1,
   s.t_end_us = t1;
   return s;
 }
-
-// ---------------------------------------------------------------------------
-// Minimal JSON well-formedness checker (objects/arrays/strings/numbers/
-// literals). Returns true iff the whole input is one valid JSON value.
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& s) : s_(s) {}
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') ++pos_;
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;
-    return true;
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-  bool literal(const char* lit) {
-    const std::size_t n = std::string(lit).size();
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-// ---------------------------------------------------------------------------
 
 TEST(TraceBuffer, DisabledRecordIsNoOp) {
   TraceBuffer buf(8);
@@ -229,7 +133,7 @@ TEST(ChromeTrace, ExportIsValidJsonWithAllStages) {
   buf.write_chrome_trace(os);
   const std::string doc = os.str();
 
-  EXPECT_TRUE(JsonChecker(doc).valid()) << doc;
+  EXPECT_TRUE(testing::parse_json(doc).has_value()) << doc;
   EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(doc.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
   for (const char* cat : {"prefetch", "sdd", "snm", "tyolo", "ref"}) {
@@ -252,7 +156,7 @@ TEST(ChromeTrace, ZeroLengthSpanGetsVisibleDuration) {
   buf.write_chrome_trace(os);
   // dur is clamped to 1 us so the event renders in a viewer.
   EXPECT_NE(os.str().find("\"dur\":1"), std::string::npos);
-  EXPECT_TRUE(JsonChecker(os.str()).valid());
+  EXPECT_TRUE(testing::parse_json(os.str()).has_value());
 }
 
 }  // namespace
