@@ -31,14 +31,6 @@
 // --trace-out is given, one extra unmeasured run records spans and writes
 // the chrome://tracing timeline.
 //
-// A decode-policy series (--decode-policy) measures the codec-aware ingest
-// path (DESIGN.md §13) head-to-head: 16 StoredSource streams decoding a
-// static-heavy recording (192x144, low TOR, deadzoned delta-RLE), run
-// interleaved best-of-3 under DecodePolicy::kFull vs kHinted. The hinted
-// row archives the decode_skipped/hint_fallbacks counters, the stream's
-// compression ratio, the offline pixel-SDD agreement of the hint chain
-// (compressed_sdd_agreement), and the fps speedup over the kFull best.
-//
 // A model-fault series (--model-faults) measures the escalation layer
 // (DESIGN.md Section 14) end-to-end: a 16-stream offline run with the
 // per-call watchdog armed, clean vs with deterministic in-model wedges
@@ -50,7 +42,6 @@
 // Usage: bench_pipeline_scaling [--json out.json] [--label prefix]
 //                               [--frames N] [--online-frames N]
 //                               [--streams a,b,c]
-//                               [--decode-policy full|hinted|both|off]
 //                               [--model-faults on|off]
 //                               [--metrics-out m.jsonl] [--trace-out t.json]
 //                               [--metrics-interval-ms N]
@@ -114,7 +105,6 @@ int main(int argc, char** argv) {
   std::int64_t online_frames = 192;
   std::vector<int> stream_counts = {1, 4, 16, 64};
   std::string metrics_out, trace_out;
-  std::string decode_policy = "both";
   std::string model_faults = "on";
   int metrics_interval_ms = 100;
   bool cluster = false;
@@ -125,7 +115,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--label") == 0) label = std::string(argv[i + 1]) + "/";
     if (std::strcmp(argv[i], "--frames") == 0) frames_per_stream = std::atol(argv[i + 1]);
     if (std::strcmp(argv[i], "--online-frames") == 0) online_frames = std::atol(argv[i + 1]);
-    if (std::strcmp(argv[i], "--decode-policy") == 0) decode_policy = argv[i + 1];
     if (std::strcmp(argv[i], "--model-faults") == 0) model_faults = argv[i + 1];
     if (std::strcmp(argv[i], "--metrics-out") == 0) metrics_out = argv[i + 1];
     if (std::strcmp(argv[i], "--trace-out") == 0) trace_out = argv[i + 1];
@@ -191,134 +180,6 @@ int main(int argc, char** argv) {
     std::snprintf(name, sizeof(name), "%soffline/streams=%d", label.c_str(), n);
     report.add(name, stats.total_throughput_fps, agg.latency_ms.p50(),
                agg.latency_ms.p99());
-  }
-
-  // --- codec-aware ingest: DecodePolicy kFull vs kHinted -------------------
-  // The scaling window above replays pre-rendered frames (zero decode
-  // cost), which is the right regime for measuring the engine — and the
-  // wrong one for measuring ingest. This series stores a static-heavy
-  // recording in the real delta-RLE codec and decodes it through
-  // StoredSource, so prefetch pays the per-pixel reconstruction cost the
-  // paper's offline mode is bounded by; kHinted then skips that cost for
-  // every frame the compressed-domain SDD can prove droppable.
-  if (decode_policy != "off") {
-    const int n = 16;
-    std::printf("\nSpecializing ingest-bound models (192x144, tor 0.15)...\n");
-    auto dec_scene = video::jackson_profile();
-    dec_scene.width = 192;
-    dec_scene.height = 144;
-    dec_scene.tor = 0.15;  // mostly background: decode dominates kFull
-    const std::int64_t dec_calib = 600;
-    video::SceneSimulator dec_sim(dec_scene, 7777, dec_calib + frames_per_stream);
-    std::vector<video::Frame> dec_calib_frames;
-    for (std::int64_t i = 0; i < dec_calib; ++i) {
-      dec_calib_frames.push_back(dec_sim.render(i));
-    }
-    detect::SpecializeConfig dsc;
-    dsc.target = dec_scene.target;
-    dsc.snm.epochs = 4;
-    const auto dec_models = detect::specialize_stream(dec_calib_frames, dsc, 7777);
-    std::vector<video::Frame> dec_window;
-    dec_window.reserve(static_cast<std::size_t>(frames_per_stream));
-    for (std::int64_t i = 0; i < frames_per_stream; ++i) {
-      dec_window.push_back(dec_sim.render(dec_calib + i));
-    }
-    const auto stored = std::make_shared<const video::StoredVideo>(
-        video::StoredVideo::encode(dec_window, /*keyframe_interval=*/32,
-                                   /*deadzone=*/4));
-
-    struct PolicyRun {
-      double fps = 0.0, p50 = 0.0, p99 = 0.0;
-      std::uint64_t decode_full = 0, decode_skipped = 0;
-      std::uint64_t hint_passes = 0, hint_fallbacks = 0;
-      double compression_ratio = 0.0;
-    };
-    const auto run_policy = [&](core::DecodePolicy p) {
-      core::FfsVaConfig cfg;
-      cfg.decode_policy = p;
-      core::FfsVaInstance instance(cfg);
-      instance.set_output_sink([](const core::OutputEvent&) {});
-      for (int s = 0; s < n; ++s) {
-        instance.add_stream(std::make_unique<video::StoredSource>(stored, s),
-                            dec_models);
-      }
-      const auto stats = instance.run(/*online=*/false);
-      const auto agg = stats.aggregate();
-      PolicyRun r;
-      r.fps = stats.total_throughput_fps;
-      r.p50 = agg.latency_ms.p50();
-      r.p99 = agg.latency_ms.p99();
-      r.decode_full = agg.ingest.decode_full;
-      r.decode_skipped = agg.ingest.decode_skipped;
-      r.hint_passes = agg.ingest.hint_passes;
-      r.hint_fallbacks = agg.ingest.hint_fallbacks;
-      r.compression_ratio = agg.ingest.compression_ratio;
-      return r;
-    };
-    // The hint chain's pixel-SDD agreement is deterministic (a pure replay
-    // of hints against decoded distances), so it is computed once offline
-    // rather than per measured run, with the engine's conservative band.
-    const double hint_relax = core::kSddHintRelax;
-    const auto agreement_report = detect::compressed_sdd_agreement(
-        *stored, *dec_models.sdd, hint_relax);
-
-    const struct {
-      core::DecodePolicy policy;
-      const char* name;
-    } kPolicies[] = {{core::DecodePolicy::kFull, "decode_full"},
-                     {core::DecodePolicy::kHinted, "decode_hinted"}};
-    const bool run_pol[2] = {decode_policy != "hinted", decode_policy != "full"};
-    // Same methodology as the other head-to-head blocks: one discarded
-    // warmup, then interleaved reps, best-of per policy.
-    const int reps = 3;
-    std::printf("\ndecode policy (%d streams, offline, 192x144 stored, "
-                "compression %.1fx, best of %d)\n", n,
-                stored->stats().compression_ratio(), reps);
-    std::printf("%-16s %12s %12s %12s\n", "policy", "total FPS", "p50 lat(ms)",
-                "p99 lat(ms)");
-    bench::print_rule();
-    (void)run_policy(core::DecodePolicy::kFull);  // warmup, discarded
-    PolicyRun best[2];
-    for (int rep = 0; rep < reps; ++rep) {
-      for (int m = 0; m < 2; ++m) {
-        if (!run_pol[m]) continue;
-        PolicyRun r = run_policy(kPolicies[m].policy);
-        std::printf("%-16s %12.1f %12.1f %12.1f\n", kPolicies[m].name, r.fps,
-                    r.p50, r.p99);
-        if (r.fps > best[m].fps) best[m] = r;
-      }
-    }
-    bench::print_rule();
-    for (int m = 0; m < 2; ++m) {
-      if (!run_pol[m]) continue;
-      const PolicyRun& r = best[m];
-      const bool hinted = kPolicies[m].policy == core::DecodePolicy::kHinted;
-      bench::JsonReport::Extras extras{
-          {"compression_ratio", r.compression_ratio}};
-      std::printf("%-16s %12.1f %12.1f %12.1f", kPolicies[m].name, r.fps,
-                  r.p50, r.p99);
-      if (hinted) {
-        extras.emplace_back("sdd_agreement", agreement_report.agreement());
-        extras.emplace_back("decode_skipped",
-                            static_cast<double>(r.decode_skipped));
-        extras.emplace_back("hint_fallbacks",
-                            static_cast<double>(r.hint_fallbacks));
-        std::printf(" skipped=%llu fallbacks=%llu agreement=%.4f",
-                    static_cast<unsigned long long>(r.decode_skipped),
-                    static_cast<unsigned long long>(r.hint_fallbacks),
-                    agreement_report.agreement());
-        if (run_pol[0] && best[0].fps > 0.0) {
-          const double speedup = r.fps / best[0].fps;
-          extras.emplace_back("speedup_vs_full", speedup);
-          std::printf(" speedup=%.2fx", speedup);
-        }
-      }
-      std::printf("\n");
-      char name[64];
-      std::snprintf(name, sizeof(name), "%s%s/streams=%d", label.c_str(),
-                    kPolicies[m].name, n);
-      report.add(name, r.fps, r.p50, r.p99, std::move(extras));
-    }
   }
 
   // --- GPU1 reference-stage modes: batch vs crop_pack ---------------------

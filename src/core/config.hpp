@@ -45,25 +45,6 @@ enum class RefMode : std::uint8_t { kBatch = 0, kCropPack = 1 };
 
 const char* to_string(RefMode m);
 
-/// How the prefetch stage reconstructs frames from a stored bitstream:
-///  * kFull   — decode every frame before SDD (default; bit-for-bit the
-///              pre-hint engine behaviour).
-///  * kHinted — consult the codec's per-frame residual summary first
-///              (detect::CompressedSdd) and skip reconstruction entirely
-///              for frames the hint proves SDD would drop, falling back to
-///              full decode + pixel SDD for borderline frames
-///              (DESIGN.md §13). Applies to offline streams whose source
-///              carries hints; everything else decodes as kFull.
-enum class DecodePolicy : std::uint8_t { kFull = 0, kHinted = 1 };
-
-const char* to_string(DecodePolicy p);
-
-/// Conservative band of the hinted-ingest decision, in (0, 1]: a hint may
-/// skip a frame only when its distance bracket stays below
-/// delta_diff * kSddHintRelax, and pass one only above
-/// delta_diff / kSddHintRelax; everything between falls back to pixel SDD.
-inline constexpr double kSddHintRelax = 0.9;
-
 struct FfsVaConfig {
   // --- user-facing event definition (Section 4.2) -------------------------
   double filter_degree = 0.5;   ///< Aggressiveness of SNM filtering in [0,1].
@@ -112,29 +93,23 @@ struct FfsVaConfig {
   /// streams outnumber workers.
   int sdd_run_length = 32;
 
-  // --- ingest: codec-aware decode + worker pinning (DESIGN.md §13) ---------
-  /// Compressed-domain fast path through prefetch (see DecodePolicy).
-  DecodePolicy decode_policy = DecodePolicy::kFull;
-  /// Base CPU for pinning ingest (prefetch/decode) threads: stream i pins
-  /// to CPU (ingest_affinity + i) mod cpu_count. Negative = no pinning
-  /// (default). The FFSVA_AFFINITY environment variable overrides this
-  /// knob (integer base, or "off"); see runtime::resolve_ingest_affinity.
-  int ingest_affinity = -1;
-
   // --- online mode ----------------------------------------------------------
   double online_fps = 30.0;
   /// Capacity of the live-capture ring buffer in front of SDD. A camera
-  /// cannot block, so bursts ride out here (~4 s at 30 FPS, enough to ride out one scene-length burst); a frame is
-  /// lost only once this buffer overflows. Offline mode ignores it (the
-  /// decoder simply stalls on the SDD feedback threshold instead).
+  /// cannot block, so bursts ride out here (~4 s at 30 FPS, enough to ride
+  /// out one scene-length burst); a frame is lost only once this buffer
+  /// overflows. Offline mode ignores it: there the SDD queue holds
+  /// capacity(sdd_queue_depth) frames and the decoder stalls on that
+  /// feedback threshold instead.
   int ingest_buffer = 128;
 
   // --- supervision (fault tolerance; DESIGN.md Section 9) ------------------
-  /// A stage heartbeat continuously busy for longer than this quarantines
-  /// its stream: the stream's queues are closed and drained, its counters
-  /// freeze, and the other streams keep running. 0 disables stall
-  /// detection (a hung source then blocks its stream forever — the
-  /// pre-supervision behavior).
+  /// A stream's decode call in flight for longer than this quarantines the
+  /// stream: its queues are closed and drained, its counters freeze, and
+  /// the other streams keep running. A shared stage (SDD worker, GPU0
+  /// executor, reference thread) busy this long is only counted in
+  /// health.stage_stall_ticks. 0 disables stall detection (a hung source
+  /// then blocks its stream forever — the pre-supervision behavior).
   int stall_timeout_ms = 0;
   /// Wall-clock budget for run(); past it the watchdog invokes stop() and
   /// the run winds down gracefully. 0 = no deadline.

@@ -1,7 +1,6 @@
-// relaxed-ok: per-stream frame/fault counters — including the codec-aware
-// ingest counters of the hinted fast path (decode_full/decode_skipped/
-// hint_passes/hint_fallbacks) — are single-logical-writer cells snapshotted
-// mid-run (approximate by contract) and frozen after the stage joins; the
+// relaxed-ok: per-stream frame/fault counters — including the ingest
+// decode_full count — are single-logical-writer cells snapshotted mid-run
+// (approximate by contract) and frozen after the stage joins; the
 // claim/quarantine edges that need ordering use acq_rel — see the Stream
 // struct comments below.
 #include "core/pipeline.hpp"
@@ -20,7 +19,6 @@
 #include "runtime/parallel_for.hpp"
 #include "runtime/rate_limiter.hpp"
 #include "runtime/stopwatch.hpp"
-#include "runtime/thread_pool.hpp"
 #include "telemetry/spans.hpp"
 
 namespace ffsva::core {
@@ -111,14 +109,6 @@ const char* to_string(RefMode m) {
   return "?";
 }
 
-const char* to_string(DecodePolicy p) {
-  switch (p) {
-    case DecodePolicy::kFull: return "full";
-    case DecodePolicy::kHinted: return "hinted";
-  }
-  return "?";
-}
-
 StreamStats InstanceStats::aggregate() const {
   StreamStats agg;
   for (const auto& s : streams) {
@@ -132,9 +122,6 @@ StreamStats InstanceStats::aggregate() const {
     agg.latency_ms.merge(s.latency_ms);
     agg.ingest_fps += s.ingest_fps;
     agg.ingest.decode_full += s.ingest.decode_full;
-    agg.ingest.decode_skipped += s.ingest.decode_skipped;
-    agg.ingest.hint_passes += s.ingest.hint_passes;
-    agg.ingest.hint_fallbacks += s.ingest.hint_fallbacks;
     agg.ingest.compression_ratio =
         std::max(agg.ingest.compression_ratio, s.ingest.compression_ratio);
     agg.ingest.decode_ms.merge(s.ingest.decode_ms);
@@ -174,21 +161,8 @@ struct FfsVaInstance::Stream {
   std::atomic<std::uint64_t> restarts{0};
   std::atomic<double> ingest_wall_sec{0.0};
 
-  /// Codec-aware ingest (DecodePolicy::kHinted, DESIGN.md §13). When
-  /// `fused_ingest` is set — decided in run() before any thread starts,
-  /// read-only afterwards — this stream's prefetch thread owns the whole
-  /// SDD stage: it consults the source's residual hints, decodes only the
-  /// frames the hint could not decide, runs pixel SDD on the fallbacks,
-  /// and feeds snm_q directly (closing it on exit). The SDD worker pool
-  /// never serves a fused stream (sdd_done is pre-set), so the done/close
-  /// handshake keeps exactly one closer. decode_full/decode_ms also move on
-  /// the kFull path, so the decode schema reads consistently across
-  /// policies.
-  bool fused_ingest = false;
+  /// Frames the source reconstructed (every ingested frame is decoded).
   std::atomic<std::uint64_t> decode_full{0};
-  std::atomic<std::uint64_t> decode_skipped{0};
-  std::atomic<std::uint64_t> hint_passes{0};
-  std::atomic<std::uint64_t> hint_fallbacks{0};
   /// Decode-stage latency. AtomicHistogram (not runtime::Histogram):
   /// metrics_snapshot() reads it live while the prefetch thread records, so
   /// recording must be lock-free and thread-safe.
@@ -217,12 +191,12 @@ struct FfsVaInstance::Stream {
   std::atomic<std::uint64_t> cancels{0};
   std::atomic<std::uint64_t> poisoned{0};
 
-  /// The call currently in flight on this stream's prefetch thread: a
-  /// decode, or a fused stream's pixel SDD. Its busy age is the stream's
-  /// stall clock — blocking on a full queue between calls reads as idle.
-  /// The watchdog cancels it when it overruns model_call_timeout_ms, and
-  /// quarantine cancels it unconditionally — that cancel is what makes the
-  /// prefetch join bounded (the thread is joined, never detached).
+  /// The decode currently in flight on this stream's prefetch thread. Its
+  /// busy age is the stream's stall clock — blocking on a full queue
+  /// between calls reads as idle. The watchdog cancels it when it overruns
+  /// model_call_timeout_ms, and quarantine cancels it unconditionally —
+  /// that cancel is what makes the prefetch join bounded (the thread is
+  /// joined, never detached).
   runtime::InflightCall prefetch_call;
 
   /// Per-stage frame counters, indexed by StageId, as relaxed atomics so
@@ -245,8 +219,8 @@ struct FfsVaInstance::Stream {
   std::atomic<bool> sdd_done{false};
 
   /// Terminal latency by fate, kDropSdd..kEmit. Each is written by exactly
-  /// one logical owner (SDD claim holder or fused prefetch / GPU0 executor /
-  /// reference thread) and merged into StreamStats::latency_ms after the
+  /// one logical owner (SDD claim holder / GPU0 executor / reference
+  /// thread) and merged into StreamStats::latency_ms after the
   /// stage threads are joined — stages on different threads must not share
   /// one histogram. Reference-stage drops stay out of the emitted-frame
   /// distribution; discards and ingest losses record none.
@@ -255,13 +229,24 @@ struct FfsVaInstance::Stream {
   Stream(int id_, std::unique_ptr<video::FrameSource> src, detect::StreamModels m,
          const FfsVaConfig& cfg_)
       : id(id_), source(std::move(src)), models(std::move(m)), cfg(cfg_),
-        // The live-capture ring buffer must absorb bursts without blocking
-        // the camera; offline the decoder throttles on the SDD threshold.
-        // Sized for the larger of the two so one queue serves both modes.
-        sdd_q(static_cast<std::size_t>(std::max(cfg_.ingest_buffer,
-                                                cfg_.capacity(cfg_.sdd_queue_depth)))),
+        // Offline capacity until attach() fixes it for the run's mode.
+        sdd_q(static_cast<std::size_t>(cfg_.capacity(cfg_.sdd_queue_depth))),
         snm_q(static_cast<std::size_t>(cfg_.capacity(cfg_.snm_queue_depth))),
         tyolo_q(static_cast<std::size_t>(cfg_.capacity(cfg_.tyolo_queue_depth))) {}
+
+  /// Pre-thread setup for a run in `online` mode: wire the stage wakeups
+  /// and size the SDD queue. Online it is the live-capture ring buffer that
+  /// absorbs bursts without blocking the camera; offline it is the paper's
+  /// SDD feedback threshold the decoder stalls on. Both calls are
+  /// unsynchronized by contract, so this runs before the stream is visible
+  /// to any stage thread.
+  void attach(bool online, runtime::QueueWaiter* sdd_work,
+              runtime::QueueWaiter* gpu0_work) {
+    sdd_q.set_waiter(sdd_work);
+    snm_q.set_waiter(gpu0_work);
+    sdd_q.set_capacity(static_cast<std::size_t>(
+        online ? std::max(1, cfg.ingest_buffer) : cfg.capacity(cfg.sdd_queue_depth)));
+  }
 
   /// A frame enters stage `st`.
   void enter(StageId st) { in[st].fetch_add(1, std::memory_order_relaxed); }
@@ -349,9 +334,6 @@ struct FfsVaInstance::Stream {
     const double iw = ingest_wall_sec.load(std::memory_order_relaxed);
     if (iw > 0.0) ss.ingest_fps = static_cast<double>(ss.prefetch.passed) / iw;
     ss.ingest.decode_full = ld(decode_full);
-    ss.ingest.decode_skipped = ld(decode_skipped);
-    ss.ingest.hint_passes = ld(hint_passes);
-    ss.ingest.hint_fallbacks = ld(hint_fallbacks);
     if (const auto cs = source->codec_stats()) {
       ss.ingest.compression_ratio = cs->compression_ratio();
     }
@@ -399,13 +381,8 @@ int FfsVaInstance::add_stream(std::unique_ptr<video::FrameSource> source,
         "FfsVaInstance::add_stream: mid-run add needs a free "
         "config.max_streams slot");
   }
-  // Same pre-thread setup run() performs for the initial streams: wire the
-  // stage wakeups and resolve the fused hinted-ingest path before the
-  // stream is visible to any stage worker.
-  s->sdd_q.set_waiter(&sdd_work_);
-  s->snm_q.set_waiter(&gpu0_work_);
-  s->fused_ingest = run_hinted_ && s->source->has_hints();
-  if (s->fused_ingest) s->sdd_done.store(true, std::memory_order_release);
+  // Same pre-thread setup run() performs for the initial streams.
+  s->attach(run_online_, &sdd_work_, &gpu0_work_);
   std::shared_ptr<Stream> sp = s;
   // Publish: capacity is reserved, so push_back cannot reallocate; the
   // release store pairs with num_streams()' acquire load, making the new
@@ -413,7 +390,7 @@ int FfsVaInstance::add_stream(std::unique_ptr<video::FrameSource> source,
   streams_.push_back(std::move(s));
   nstreams_.store(id + 1, std::memory_order_release);
   late_prefetch_.emplace_back(&FfsVaInstance::prefetch_loop, std::move(sp),
-                              run_online_, run_affinity_);
+                              run_online_);
   // Wake stage workers parked on "every stream done" in serve mode.
   sdd_work_.notify();
   gpu0_work_.notify();
@@ -444,13 +421,6 @@ bool FfsVaInstance::stream_quiesced(int stream_id) const {
 
 void FfsVaInstance::set_output_sink(std::function<void(const OutputEvent&)> sink) {
   sink_ = std::move(sink);
-}
-
-int FfsVaInstance::sdd_pool_size(int eligible_streams) const {
-  if (eligible_streams <= 0) return 0;
-  const int w = config_.sdd_workers > 0 ? config_.sdd_workers
-                                        : runtime::compute_parallelism();
-  return std::clamp(w, 1, eligible_streams);
 }
 
 bool FfsVaInstance::enable_metrics_export(const std::string& path,
@@ -560,9 +530,6 @@ telemetry::MetricsSnapshot FfsVaInstance::metrics_snapshot() const {
       {"prefetch.passed", d(agg.prefetch.passed)},
       {"drop.ingest", d(agg.dropped_at_ingest)},
       {"decode.full", d(agg.ingest.decode_full)},
-      {"decode.skipped", d(agg.ingest.decode_skipped)},
-      {"sdd.hint_pass", d(agg.ingest.hint_passes)},
-      {"sdd.hint_fallback", d(agg.ingest.hint_fallbacks)},
       {"latency.decode_p50_ms", decode.count ? decode.quantile(0.5) : 0.0},
       {"latency.decode_p99_ms", decode.count ? decode.quantile(0.99) : 0.0},
       {"fault.decode_errors", d(f.decode_errors)},
@@ -576,7 +543,6 @@ telemetry::MetricsSnapshot FfsVaInstance::metrics_snapshot() const {
       {"supervise.stall_ticks", d(h.stage_stall_ticks)},
       {"supervision.cancels", d(h.cancels)},
       {"supervision.stage_restarts", d(h.stage_restarts)},
-      {"supervision.poisoned_frames", d(f.poisoned_frames)},
       {"queue.sdd", d(depth[0])},
       {"queue.snm", d(depth[1])},
       {"queue.tyolo", d(depth[2])},
@@ -593,19 +559,15 @@ void FfsVaInstance::stop() {
   stop_.request_stop();
   // Closing the ingest queues unblocks every prefetch thread (a blocked
   // push fails fast on a closed queue); the close cascades down the stages
-  // as each drains, so in-flight frames still complete. A fused stream's
-  // prefetch thread pushes into snm_q instead, so that is the queue whose
-  // close unblocks it (its sdd_q is unused but closed for uniformity).
-  // Serialized on streams_mu_ against add_stream: a stream either publishes
-  // before this close sweep (and is closed here) or its add observes
-  // stop_requested and is rejected — no stream can miss the close.
+  // as each drains, so in-flight frames still complete. Serialized on
+  // streams_mu_ against add_stream: a stream either publishes before this
+  // close sweep (and is closed here) or its add observes stop_requested and
+  // is rejected — no stream can miss the close.
   {
     runtime::MutexLock lk(streams_mu_);
     const int n = nstreams_.load(std::memory_order_acquire);
     for (int i = 0; i < n; ++i) {
-      Stream& s = *streams_[static_cast<std::size_t>(i)];
-      s.sdd_q.close();
-      if (s.fused_ingest) s.snm_q.close();
+      streams_[static_cast<std::size_t>(i)]->sdd_q.close();
     }
   }
   // Wake stage workers parked on "every stream done" (serve mode) so they
@@ -614,27 +576,12 @@ void FfsVaInstance::stop() {
   gpu0_work_.notify();
 }
 
-void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
-                                  int affinity_base) {
+void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online) {
   const FfsVaConfig& cfg = s->cfg;
-  if (affinity_base >= 0) {
-    // Pin ingest to its own core so decode stops migrating across — and
-    // fighting with — the compute pool. Best effort: on failure the thread
-    // simply stays unpinned.
-    runtime::pin_current_thread(affinity_base + s->id);
-  }
   runtime::RateLimiter limiter(cfg.online_fps, /*burst=*/2.0);
   runtime::Stopwatch watch;
   const auto frame_interval =
       std::chrono::duration<double>(1.0 / cfg.online_fps);
-
-  // Compressed-domain fast path (fused ingest only): every piece of hint
-  // state lives on this thread; pixel-SDD fallbacks re-anchor the chain.
-  std::optional<detect::CompressedSdd> csdd;
-  if (s->fused_ingest) {
-    csdd.emplace(s->models.sdd->config().metric,
-                 s->models.sdd->config().delta_diff, kSddHintRelax);
-  }
 
   const auto aborted = [&s] {
     // An end_stream() cut reads as end-of-source: the loop winds down
@@ -643,37 +590,10 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
            s->quarantined.load(std::memory_order_acquire) ||
            s->ingest_end.load(std::memory_order_acquire);
   };
-  // Blocking push: the SNM feedback-queue threshold throttles ingest
-  // directly — with SDD fused into prefetch, this IS the feedback edge the
-  // paper's bounded queues implement.
-  const auto to_snm = [&s](Item& it) { return s->snm_q.push(std::move(it)); };
 
   int consecutive_retries = 0;
   int restarts_used = 0;
   while (!aborted()) {
-    // Consult the hint *before* paying any decode: a frame the hint proves
-    // SDD would drop is skipped outright — the reader only moves its
-    // cursor; reconstruction re-syncs lazily at the next materialized
-    // frame (video/codec.hpp). The skipped frame still terminates exactly
-    // once, with the same conservation accounting as a pixel-SDD drop.
-    auto hint_decision = detect::HintDecision::kFallback;
-    if (csdd) {
-      if (const video::FrameHint* hint = s->source->peek_hint()) {
-        hint_decision = csdd->decide(*hint);
-      }
-      if (hint_decision == detect::HintDecision::kSkip) {
-        const auto t0 = Clock::now();
-        if (!s->source->skip_next()) break;  // end of stream
-        s->decode_skipped.fetch_add(1, std::memory_order_relaxed);
-        s->prefetch_in.fetch_add(1, std::memory_order_relaxed);
-        s->prefetch_passed.fetch_add(1, std::memory_order_relaxed);
-        s->enter(kSdd);
-        const double ms = ms_since(t0);
-        s->decode_ms.record(ms);
-        s->finish(Fate::kDropSdd, ms);
-        continue;
-      }
-    }
     std::optional<video::Frame> f;
     bool source_error = false;
     bool transient = false;
@@ -726,36 +646,6 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
     s->decode_ms.record(ms_since(decode_t0));
     s->prefetch_in.fetch_add(1, std::memory_order_relaxed);
     Item item{std::move(*f), Clock::now()};
-    if (csdd) {
-      // Fused SDD stage: the hint either decided kPass outright or fell
-      // back to the pixel SDD, whose distance re-anchors the chain. The
-      // frame was ingested either way; survivors go straight to snm_q.
-      s->enter(kSdd);
-      bool pass = true;
-      if (hint_decision == detect::HintDecision::kPass) {
-        s->hint_passes.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        s->hint_fallbacks.fetch_add(1, std::memory_order_relaxed);
-        double dist = 0.0;
-        const auto measure = [&] {
-          telemetry::ScopedSpan sp(trace(), "sdd.filter", telemetry::Stage::kSdd,
-                                   s->id, item.frame.index);
-          dist = s->models.sdd->distance(item.frame.image);
-        };
-        const Call c = guarded_call(s->prefetch_call, s->id, item.frame.index, measure);
-        if (c == Call::kOk) {
-          csdd->anchor(dist);
-          pass = dist > s->models.sdd->config().delta_diff;
-        } else {
-          // An unmeasured frame leaves the chain unanchored.
-          csdd->invalidate();
-          pass = s->fault_verdict(item, c, /*may_bypass=*/true);
-        }
-      }
-      if (!s->route(kSdd, pass, item, to_snm)) break;  // closed: stop/quarantine
-      s->prefetch_passed.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
     // Offline the push blocks on the SDD threshold and fails only on a
     // closed queue. A live camera cannot block: a frame the pipeline cannot
     // absorb within one frame time is lost and counted (ClusterManager
@@ -777,10 +667,6 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online,
   }
   s->ingest_wall_sec.store(watch.elapsed_sec(), std::memory_order_relaxed);
   s->sdd_q.close();
-  // A fused stream's SDD stage ends with its prefetch thread, so the
-  // end-of-stream edge the executor waits for is snm_q's close — exactly
-  // what the SDD pool would have published for a non-fused stream.
-  if (s->fused_ingest) s->snm_q.close();
   // Ordered after the loop's last counter write: once a reader observes
   // ingest_done, prefetch_in is final (half of the quiescence predicate).
   s->ingest_done.store(true, std::memory_order_release);
@@ -1328,12 +1214,7 @@ InstanceStats FfsVaInstance::run(bool online) {
     exporter_.start_stream(metrics_sink_, config_.metrics_interval_ms,
                            metrics_label_);
   }
-  // Resolve the run-wide ingest parameters once; add_stream() replays them
-  // for dynamically attached streams (DESIGN.md §15).
-  const bool hinted = config_.decode_policy == DecodePolicy::kHinted && !online;
-  const int affinity = runtime::resolve_ingest_affinity(config_.ingest_affinity);
   int n0 = 0;
-  int unfused = 0;
   {
     runtime::MutexLock lk(streams_mu_);
     n0 = nstreams_.load(std::memory_order_relaxed);
@@ -1343,37 +1224,24 @@ InstanceStats FfsVaInstance::run(bool online) {
     streams_.reserve(std::max(
         streams_.size(),
         static_cast<std::size_t>(std::max(0, config_.max_streams))));
-    // Wire the stage wakeups before any thread starts (set_waiter is
-    // unsynchronized by contract), and resolve which streams take the fused
-    // hinted-ingest path (DESIGN.md §13): the flag and its sdd_done pre-set
-    // are read by the SDD pool, the prefetch loop, and stop(), all
-    // unsynchronized after this point. A fused stream's prefetch thread
-    // owns the whole SDD stage, so the worker pool only needs to cover the
-    // remaining streams.
+    // Fix every stream's queues for this run's mode before any thread
+    // starts; add_stream() replays run_online_ for streams attached mid-run
+    // (DESIGN.md §15).
     for (int i = 0; i < n0; ++i) {
-      auto& s = streams_[static_cast<std::size_t>(i)];
-      s->sdd_q.set_waiter(&sdd_work_);
-      s->snm_q.set_waiter(&gpu0_work_);
-      s->fused_ingest = hinted && s->source->has_hints();
-      if (s->fused_ingest) {
-        // Pre-retire the stream from the pool's perspective: workers scan
-        // sdd_done and never claim it, making the fused prefetch loop the
-        // single closer of snm_q.
-        s->sdd_done.store(true, std::memory_order_release);
-      } else {
-        ++unfused;
-      }
+      streams_[static_cast<std::size_t>(i)]->attach(online, &sdd_work_, &gpu0_work_);
     }
     run_online_ = online;
-    run_hinted_ = hinted;
-    run_affinity_ = affinity;
     engine_live_ = true;
   }
   running_.store(true, std::memory_order_release);
-  // A serving engine cannot size its pool by the (changing, possibly zero)
-  // stream count — it sizes it for its slot reservation instead, parked on
-  // the eventcount until streams arrive.
-  const int workers = sdd_pool_size(serve ? config_.max_streams : unfused);
+  // The SDD pool: config.sdd_workers, or the FFSVA_THREADS compute
+  // parallelism, capped by the streams it serves. A serving engine cannot
+  // size it by the (changing, possibly zero) stream count — it sizes it for
+  // its slot reservation instead, parked on the eventcount until streams
+  // arrive.
+  const int workers = std::clamp(
+      config_.sdd_workers > 0 ? config_.sdd_workers : runtime::compute_parallelism(),
+      1, serve ? config_.max_streams : n0);
   sdd_call_ = std::vector<runtime::InflightCall>(static_cast<std::size_t>(workers));
 
   // thread-ok: per-stream prefetch threads — a camera/decoder is inherently
@@ -1383,8 +1251,7 @@ InstanceStats FfsVaInstance::run(bool online) {
   prefetch_threads.reserve(static_cast<std::size_t>(n0));
   for (int i = 0; i < n0; ++i) {
     prefetch_threads.emplace_back(&FfsVaInstance::prefetch_loop,
-                                  streams_[static_cast<std::size_t>(i)], online,
-                                  affinity);
+                                  streams_[static_cast<std::size_t>(i)], online);
   }
   // thread-ok: the fixed stage set (SDD pool, GPU0 executor, reference
   // thread) — O(workers), not O(streams); all joined below.

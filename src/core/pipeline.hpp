@@ -81,15 +81,11 @@ struct FaultStats {
   }
 };
 
-/// Codec-aware ingest accounting (DecodePolicy, DESIGN.md §13). decode_full
-/// ticks on every policy (it is simply "frames reconstructed"); the other
-/// counters move only on the hinted fast path.
+/// Ingest accounting (DESIGN.md §13). Every ingested frame is decoded
+/// before SDD, so decode_full equals the stream's prefetch.in.
 struct IngestStats {
-  std::uint64_t decode_full = 0;     ///< Frames fully reconstructed.
-  std::uint64_t decode_skipped = 0;  ///< Hint-dropped frames never decoded.
-  std::uint64_t hint_passes = 0;     ///< Hint-decided SDD passes (no pixel SDD).
-  std::uint64_t hint_fallbacks = 0;  ///< Borderline frames: pixel SDD ran.
-  double compression_ratio = 0.0;    ///< Source bitstream raw/encoded (0 = n/a).
+  std::uint64_t decode_full = 0;   ///< Frames fully reconstructed.
+  double compression_ratio = 0.0;  ///< Source bitstream raw/encoded (0 = n/a).
   telemetry::HistogramSnapshot decode_ms;  ///< Decode-stage latency (per frame).
 };
 
@@ -324,10 +320,7 @@ class FfsVaInstance {
   /// into), never `this`. The thread is always joined before run() returns
   /// — a wedged decode is un-wedged by cancellation (quarantine cancels the
   /// stream's in-flight call).
-  /// `affinity_base` >= 0 pins the thread to CPU (base + stream id) mod
-  /// cpu_count before the first decode (runtime::pin_current_thread).
-  static void prefetch_loop(std::shared_ptr<Stream> s, bool online,
-                            int affinity_base);
+  static void prefetch_loop(std::shared_ptr<Stream> s, bool online);
 
   /// The stage restart policy of DESIGN.md Section 14, shared by every
   /// stage thread: `loop(allow_restart)` returning false was unwound by a
@@ -354,13 +347,6 @@ class FfsVaInstance {
   void cancel_overrun(runtime::InflightCall& call, std::int64_t now_ms,
                       std::int64_t timeout_ms);
 
-  /// Resolved SDD pool size: config.sdd_workers, or the FFSVA_THREADS
-  /// compute parallelism, capped by `eligible_streams` (the streams the
-  /// pool actually serves — fused hinted-ingest streams run their SDD on
-  /// their own prefetch thread and never touch the pool; a serving engine
-  /// passes its slot reservation).
-  int sdd_pool_size(int eligible_streams) const;
-
   /// Cache the hot-path counter/histogram handles in `hot_`.
   void wire_metrics();
 
@@ -384,8 +370,6 @@ class FfsVaInstance {
   /// the window in which add_stream attaches to the live engine.
   bool engine_live_ FFSVA_GUARDED_BY(streams_mu_) = false;
   bool run_online_ FFSVA_GUARDED_BY(streams_mu_) = false;
-  bool run_hinted_ FFSVA_GUARDED_BY(streams_mu_) = false;
-  int run_affinity_ FFSVA_GUARDED_BY(streams_mu_) = -1;
   /// Prefetch threads of streams added during run(); joined by run() after
   /// the stage threads exit (every one has wound down by then — stop()
   /// closed the ingest queues).

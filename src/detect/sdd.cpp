@@ -206,112 +206,4 @@ double SddFilter::calibrate_on(const std::vector<video::Frame>& frames,
   return calibrate(d, label);
 }
 
-// --- compressed-domain SDD ---------------------------------------------------
-
-const char* to_string(HintDecision d) {
-  switch (d) {
-    case HintDecision::kSkip: return "skip";
-    case HintDecision::kPass: return "pass";
-    case HintDecision::kFallback: return "fallback";
-  }
-  return "?";
-}
-
-namespace {
-
-// Map a pixel-SDD distance into the space where the triangle inequality
-// holds: MSE is a squared norm, NRMSE and SAD already are norms.
-double to_norm(SddMetric metric, double distance) {
-  const double d = distance < 0.0 ? 0.0 : distance;
-  return metric == SddMetric::kMse ? std::sqrt(d) : d;
-}
-
-}  // namespace
-
-CompressedSdd::CompressedSdd(SddMetric metric, double delta_diff, double hint_relax)
-    : metric_(metric) {
-  const double relax = std::clamp(hint_relax, 0.01, 1.0);
-  thr_skip_ = to_norm(metric_, delta_diff * relax);
-  thr_pass_ = to_norm(metric_, delta_diff / relax);
-}
-
-double CompressedSdd::residual_norm(const video::FrameHint& hint) const {
-  // Peak-block statistics bound the aliasing hazard: the SDD resize can
-  // sample a change confined to one grid cell at up to its local amplitude.
-  float peak_energy = 0.0f, peak_sad = 0.0f;
-  for (const auto& b : hint.blocks) {
-    peak_energy = b.energy > peak_energy ? b.energy : peak_energy;
-    peak_sad = b.sad > peak_sad ? b.sad : peak_sad;
-  }
-  switch (metric_) {
-    case SddMetric::kMse:
-      return std::max(std::sqrt(static_cast<double>(hint.mse)),
-                      0.5 * std::sqrt(static_cast<double>(peak_energy)));
-    case SddMetric::kNrmse:
-      return std::max(std::sqrt(static_cast<double>(hint.mse)),
-                      0.5 * std::sqrt(static_cast<double>(peak_energy))) /
-             255.0;
-    case SddMetric::kSad:
-      return std::max(static_cast<double>(hint.sad),
-                      0.5 * static_cast<double>(peak_sad));
-  }
-  return 0.0;
-}
-
-HintDecision CompressedSdd::decide(const video::FrameHint& hint) {
-  if (anchor_norm_ < 0.0) return HintDecision::kFallback;
-  const double r = residual_norm(hint);
-  const double lo = std::max(0.0, anchor_norm_ - drift_ - r);
-  const double hi = anchor_norm_ + drift_ + r;
-  HintDecision d;
-  if (hi < thr_skip_) {
-    d = HintDecision::kSkip;
-  } else if (lo > thr_pass_) {
-    d = HintDecision::kPass;
-  } else {
-    return HintDecision::kFallback;
-  }
-  drift_ += r;  // the unmeasured frame becomes part of the uncertainty
-  return d;
-}
-
-void CompressedSdd::anchor(double pixel_distance) {
-  anchor_norm_ = to_norm(metric_, pixel_distance);
-  drift_ = 0.0;
-}
-
-CompressedSddReport compressed_sdd_agreement(const video::StoredVideo& video,
-                                             const SddFilter& sdd,
-                                             double hint_relax) {
-  CompressedSddReport r;
-  CompressedSdd csdd(sdd.config().metric, sdd.config().delta_diff, hint_relax);
-  video::VideoReader reader(video);
-  for (std::int64_t i = 0; i < video.frame_count(); ++i) {
-    const auto frame = reader.next();
-    if (!frame) break;
-    // The oracle decodes every frame; the engine would not — decisions are
-    // deterministic functions of (hints, threshold), so verdicts match.
-    const double dist = sdd.distance(frame->image);
-    const bool truth = dist > sdd.config().delta_diff;
-    bool predicted = truth;
-    switch (csdd.decide(video.hint(i))) {
-      case HintDecision::kSkip:
-        ++r.skipped;
-        predicted = false;
-        break;
-      case HintDecision::kPass:
-        ++r.hint_passes;
-        predicted = true;
-        break;
-      case HintDecision::kFallback:
-        ++r.fallbacks;
-        csdd.anchor(dist);
-        break;
-    }
-    if (predicted != truth) ++r.disagreements;
-    ++r.frames;
-  }
-  return r;
-}
-
 }  // namespace ffsva::detect

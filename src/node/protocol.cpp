@@ -66,9 +66,6 @@ void write_stream(std::ostream& os, const core::StreamStats& s) {
   w(os, static_cast<std::uint64_t>(s.tyolo_queue_depth));
   w(os, s.ingest_fps);
   w(os, s.ingest.decode_full);
-  w(os, s.ingest.decode_skipped);
-  w(os, s.ingest.hint_passes);
-  w(os, s.ingest.hint_fallbacks);
   w(os, s.ingest.compression_ratio);
   write_fault(os, s.fault);
 }
@@ -84,9 +81,7 @@ bool read_stream(std::istream& is, core::StreamStats* s) {
   if (!(r(is, &s->dropped_at_ingest) && r(is, &s->terminated) &&
         r_bool(is, &s->ingest_done) && r(is, &sddq) && r(is, &snmq) &&
         r(is, &tyq) && r(is, &s->ingest_fps) && r(is, &s->ingest.decode_full) &&
-        r(is, &s->ingest.decode_skipped) && r(is, &s->ingest.hint_passes) &&
-        r(is, &s->ingest.hint_fallbacks) && r(is, &s->ingest.compression_ratio) &&
-        read_fault(is, &s->fault))) {
+        r(is, &s->ingest.compression_ratio) && read_fault(is, &s->fault))) {
     return false;
   }
   s->sdd_queue_depth = static_cast<std::size_t>(sddq);

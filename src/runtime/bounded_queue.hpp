@@ -119,6 +119,11 @@ class BoundedQueue {
   /// is shared between threads (the pointer itself is unsynchronized).
   void set_waiter(QueueWaiter* waiter) { waiter_ = waiter; }
 
+  /// Re-size the queue before it is shared between threads (same contract
+  /// as set_waiter): an owner whose bound depends on a mode chosen after
+  /// construction fixes it here. 0 is clamped to 1, as in the constructor.
+  void set_capacity(std::size_t capacity) { capacity_ = capacity == 0 ? 1 : capacity; }
+
   /// Blocks until space is available or the queue is closed.
   /// Returns false (and drops the value) if the queue was closed.
   bool push(T value) {
@@ -282,7 +287,7 @@ class BoundedQueue {
   }
 
  private:
-  const std::size_t capacity_;
+  std::size_t capacity_;
   QueueWaiter* waiter_ = nullptr;  ///< Optional multi-queue wakeup target.
   // Queue-leaf rank: taken under the engine's streams_mu_ (stop/close
   // sweep) and before only the QueueWaiter handshake.

@@ -52,24 +52,4 @@ class ThreadPool {
   bool stopping_ FFSVA_GUARDED_BY(mu_) = false;
 };
 
-// --- CPU-affinity helpers ----------------------------------------------------
-// Used by the engine to pin ingest (prefetch/decode) threads so they stop
-// migrating across — and fighting with — the compute pool's cores
-// (DESIGN.md §13). Affinity is a hint: on platforms without an affinity
-// API, or when the requested CPU is outside the process mask, pinning
-// degrades to a no-op and the engine runs exactly as before.
-
-/// CPUs available to this process (the affinity mask's population when the
-/// platform exposes one, hardware_concurrency otherwise; always >= 1).
-int cpu_count();
-
-/// Pin the calling thread to the (cpu mod cpu_count())-th CPU of the
-/// process's affinity mask. Returns true if the pin took effect.
-bool pin_current_thread(int cpu);
-
-/// Resolve the effective ingest-affinity base: the FFSVA_AFFINITY
-/// environment variable (an integer base CPU, or "off"/empty to disable)
-/// overrides `config_value`; negative means pinning disabled.
-int resolve_ingest_affinity(int config_value);
-
 }  // namespace ffsva::runtime

@@ -1,8 +1,5 @@
 #include "video/codec.hpp"
 
-#include <cassert>
-#include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace ffsva::video {
@@ -81,65 +78,7 @@ void rle_decode_apply(const std::uint8_t* packet, std::size_t packet_size,
   if (i != n) throw std::runtime_error("packet does not cover the frame");
 }
 
-// Residual summary of one frame from its reconstruction delta (the pixel
-// change a decoder observes: new reconstruction minus the previous one).
-// Computed on reconstructions rather than coded bytes so it stays exact
-// for keyframes and under the deadzone.
-FrameHint summarize_delta(const std::uint8_t* prev, const std::uint8_t* cur,
-                          int width, int height, int channels, bool keyframe) {
-  FrameHint h;
-  h.keyframe = keyframe;
-  h.grid_w = (width + kHintBlockEdge - 1) / kHintBlockEdge;
-  h.grid_h = (height + kHintBlockEdge - 1) / kHintBlockEdge;
-  const std::size_t nblocks = static_cast<std::size_t>(h.grid_w) * h.grid_h;
-  std::vector<double> sq(nblocks, 0.0), l1(nblocks, 0.0);
-  std::vector<std::size_t> zero(nblocks, 0), count(nblocks, 0);
-  double frame_sq = 0.0, frame_l1 = 0.0;
-  std::size_t fzero = 0;
-  for (int y = 0; y < height; ++y) {
-    const std::size_t brow = static_cast<std::size_t>(y / kHintBlockEdge) * h.grid_w;
-    const std::size_t row = static_cast<std::size_t>(y) * width * channels;
-    for (int x = 0; x < width; ++x) {
-      const std::size_t b = brow + static_cast<std::size_t>(x / kHintBlockEdge);
-      const std::size_t at = row + static_cast<std::size_t>(x) * channels;
-      for (int c = 0; c < channels; ++c) {
-        const int d = static_cast<int>(cur[at + c]) - static_cast<int>(prev[at + c]);
-        const double dd = static_cast<double>(d) * d;
-        sq[b] += dd;
-        l1[b] += std::abs(d);
-        frame_sq += dd;
-        frame_l1 += std::abs(d);
-        if (d == 0) {
-          ++zero[b];
-          ++fzero;
-        }
-      }
-      count[b] += static_cast<std::size_t>(channels);
-    }
-  }
-  h.blocks.resize(nblocks);
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    const double n = count[b] ? static_cast<double>(count[b]) : 1.0;
-    h.blocks[b].energy = static_cast<float>(sq[b] / n);
-    h.blocks[b].sad = static_cast<float>(l1[b] / n);
-    h.blocks[b].zero_frac = static_cast<float>(static_cast<double>(zero[b]) / n);
-  }
-  const double n = static_cast<double>(width) * height * channels;
-  if (n > 0) {
-    h.mse = static_cast<float>(frame_sq / n);
-    h.sad = static_cast<float>(frame_l1 / n);
-    h.zero_frac = static_cast<float>(static_cast<double>(fzero) / n);
-  }
-  return h;
-}
-
 }  // namespace
-
-float FrameHint::max_block_energy() const {
-  float m = 0.0f;
-  for (const auto& b : blocks) m = b.energy > m ? b.energy : m;
-  return m;
-}
 
 StoredVideo StoredVideo::encode(const std::vector<Frame>& frames, int keyframe_interval,
                                 int deadzone) {
@@ -155,7 +94,6 @@ StoredVideo StoredVideo::encode(const std::vector<Frame>& frames, int keyframe_i
   // Predict from the *reconstruction*, exactly as the decoder will, so the
   // deadzone never accumulates drift.
   image::Image recon(v.width_, v.height_, v.channels_);  // zero frame
-  image::Image prev_recon(v.width_, v.height_, v.channels_);
 
   for (std::size_t f = 0; f < frames.size(); ++f) {
     const auto& img = frames[f].image;
@@ -163,7 +101,6 @@ StoredVideo StoredVideo::encode(const std::vector<Frame>& frames, int keyframe_i
       throw std::invalid_argument("all frames in a stored video must share one shape");
     }
     const bool key = (f % static_cast<std::size_t>(v.keyframe_interval_)) == 0;
-    prev_recon = recon;  // snapshot before any keyframe reset, for the hint
     if (key) recon.fill(0);
     const std::uint8_t* cur = img.data();
     std::uint8_t* rec = recon.data();
@@ -180,8 +117,6 @@ StoredVideo StoredVideo::encode(const std::vector<Frame>& frames, int keyframe_i
     v.offsets_.push_back(v.bitstream_.size());
     rle_encode(v.bitstream_, residual.data(), n);
     v.sizes_.push_back(v.bitstream_.size() - v.offsets_.back());
-    v.hints_.push_back(summarize_delta(prev_recon.data(), recon.data(), v.width_,
-                                       v.height_, v.channels_, key));
     v.gt_.push_back(frames[f].gt);
     v.pts_.push_back(frames[f].pts_sec);
   }
@@ -231,17 +166,6 @@ std::optional<Frame> VideoReader::next() {
   f.gt = video_.gt_[static_cast<std::size_t>(next_index_)];
   ++next_index_;
   return f;
-}
-
-const FrameHint* VideoReader::peek_hint() const {
-  if (next_index_ >= video_.frame_count()) return nullptr;
-  return &video_.hints_[static_cast<std::size_t>(next_index_)];
-}
-
-bool VideoReader::skip_next() {
-  if (next_index_ >= video_.frame_count()) return false;
-  ++next_index_;
-  return true;
 }
 
 void VideoReader::seek(std::int64_t index) {

@@ -54,17 +54,6 @@ class FrameSource {
   /// support restart (the default) or the revival failed.
   virtual bool restart() { return false; }
 
-  // --- compressed-domain fast path (DecodePolicy::kHinted; DESIGN.md §13) --
-  /// Whether this source can describe upcoming frames without decoding
-  /// them. Only sources returning true ever see peek_hint()/skip_next().
-  virtual bool has_hints() const { return false; }
-  /// Residual summary of the frame the following next() would return, or
-  /// nullptr (end of stream / no hints). The pointer aliases immutable
-  /// source data and stays valid for the source's lifetime.
-  virtual const FrameHint* peek_hint() const { return nullptr; }
-  /// Advance past the upcoming frame without decoding it. Returns false at
-  /// end of stream or when the source cannot skip (the default).
-  virtual bool skip_next() { return false; }
   /// Compression statistics of the underlying bitstream, when there is one.
   /// Must be safe to call concurrently with next() (immutable data only) —
   /// the engine reads it from snapshot() while the prefetch thread decodes.
@@ -100,9 +89,6 @@ class StoredSource final : public FrameSource {
 
   std::int64_t total_frames() const override { return video_->frame_count(); }
 
-  bool has_hints() const override { return video_->frame_count() > 0; }
-  const FrameHint* peek_hint() const override { return reader_.peek_hint(); }
-  bool skip_next() override { return reader_.skip_next(); }
   std::optional<CodecStats> codec_stats() const override { return video_->stats(); }
 
  private:

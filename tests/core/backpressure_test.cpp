@@ -39,8 +39,8 @@ SlowStream& slow_stream() {
   return *s;
 }
 
-/// Counts how many frames it has handed out and how many came back via the
-/// sink — the difference is the in-flight population.
+/// Counts how many frames it has handed out; minus the frames the engine
+/// has terminated, that is the in-flight population.
 class CountingSource final : public video::FrameSource {
  public:
   CountingSource(std::shared_ptr<const video::SceneSimulator> sim, std::int64_t begin,
@@ -66,21 +66,23 @@ TEST(Backpressure, InFlightPopulationIsBoundedByQueueBudget) {
   cfg.batch_policy = BatchPolicy::kDynamic;
 
   std::atomic<std::int64_t> emitted{0};
-  std::atomic<std::int64_t> terminated{0};
   std::atomic<std::int64_t> max_in_flight{0};
 
   FfsVaInstance instance(cfg);
   instance.add_stream(
       std::make_unique<CountingSource>(s.sim, 500, 900, emitted), s.models);
-  instance.set_output_sink([&](const OutputEvent&) {
-    terminated.fetch_add(1, std::memory_order_relaxed);
-  });
+  instance.set_output_sink([](const OutputEvent&) {});
 
   // Watch the in-flight population from a sampler thread while running.
+  // Every frame terminates exactly once (emitted, filtered or discarded),
+  // so the stream's terminated counter covers filtered frames too; reading
+  // it after `emitted` can only under-count the population, never inflate it.
   std::atomic<bool> done{false};
   std::thread sampler([&] {
     while (!done.load(std::memory_order_acquire)) {
-      const auto in_flight = emitted.load() - terminated.load();
+      const std::int64_t out = emitted.load();
+      const auto in_flight =
+          out - static_cast<std::int64_t>(instance.snapshot().streams[0].terminated);
       std::int64_t prev = max_in_flight.load();
       while (in_flight > prev && !max_in_flight.compare_exchange_weak(prev, in_flight)) {
       }
@@ -92,13 +94,12 @@ TEST(Backpressure, InFlightPopulationIsBoundedByQueueBudget) {
   sampler.join();
 
   // The budget: every queue's capacity plus one frame per stage thread plus
-  // one SNM batch. The sink only counts outputs, so add the filtered count.
+  // one SNM batch. Offline the SDD queue holds the paper's feedback
+  // threshold, not the live-capture ingest buffer.
   const auto& st = stats.streams[0];
-  const std::int64_t filtered = static_cast<std::int64_t>(
-      st.prefetch.passed - st.ref.passed);
-  const std::int64_t budget = cfg.ingest_buffer + cfg.snm_queue_depth +
+  const std::int64_t budget = cfg.capacity(cfg.sdd_queue_depth) + cfg.snm_queue_depth +
                               cfg.tyolo_queue_depth + cfg.ref_queue_depth +
-                              cfg.batch_size + 8 + filtered;
+                              cfg.batch_size + 8;
   EXPECT_LE(max_in_flight.load(), budget);
   EXPECT_EQ(st.prefetch.passed, 400u);
   EXPECT_EQ(st.latency_ms.count(), 400u);

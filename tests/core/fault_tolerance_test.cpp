@@ -20,8 +20,6 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
-#include "detect/fault_hook.hpp"
-#include "video/codec.hpp"
 #include "video/fault_injection.hpp"
 #include "video/profiles.hpp"
 #include "video/source.hpp"
@@ -364,49 +362,6 @@ TEST(FaultTolerance, FaultMatrixIsolatesFaultyStreams) {
   // returns: the quarantine cancelled the stalled decode (stall_done is set
   // before the stall unwinds), so the stall must already be over here.
   EXPECT_TRUE(stall_done->load(std::memory_order_acquire));
-}
-
-// A fused hinted-ingest stream runs its pixel SDD on its own prefetch thread,
-// registered in the same in-flight slot as its decodes, so an SDD call
-// wedged there is a stall of that stream: it is quarantined like a wedged
-// decode (the quarantine cancel unwinds the call), and the other streams
-// finish untouched.
-TEST(FaultTolerance, FusedSddStallQuarantinesItsStream) {
-  auto& w = world();
-  constexpr int kStreams = 4;
-  const auto frames = static_cast<std::uint64_t>(w.window.size());
-  const auto stored = std::make_shared<const video::StoredVideo>(
-      video::StoredVideo::encode(w.window, /*keyframe_interval=*/32, /*deadzone=*/4));
-
-  FfsVaConfig cfg;
-  cfg.decode_policy = DecodePolicy::kHinted;
-  cfg.stall_timeout_ms = 200;
-  cfg.model_call_timeout_ms = 0;  // only the stall watchdog can end the wedge
-  FfsVaInstance instance(cfg);
-  for (int s = 0; s < kStreams; ++s) {
-    instance.add_stream(std::make_unique<video::StoredSource>(stored, s), w.models);
-  }
-  instance.set_output_sink([](const OutputEvent&) {});
-
-  // The first pixel-SDD call after install wedges for 10 s unless cancelled.
-  detect::FaultHook hook({detect::ModelFaultSpec{
-      detect::FaultStage::kSdd, detect::ModelFaultSpec::Kind::kStall,
-      /*offset=*/0, /*period=*/0, /*max_triggers=*/1, /*duration_ms=*/10000}});
-  hook.install();
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto stats = instance.run(/*online=*/false);
-  const auto wall = std::chrono::steady_clock::now() - t0;
-  detect::FaultHook::uninstall();
-
-  EXPECT_EQ(hook.triggered(0), 1);
-  EXPECT_LT(wall, std::chrono::seconds(3)) << "the wedged SDD call ran its full stall";
-  EXPECT_EQ(stats.health.quarantined_streams, 1);
-  for (const auto& st : stats.streams) {
-    if (st.fault.quarantined) continue;  // its counters froze mid-flight
-    EXPECT_EQ(st.prefetch.in, frames) << "stream " << st.id;
-    EXPECT_EQ(st.terminated, frames) << "stream " << st.id;
-    EXPECT_EQ(st.latency_ms.count(), frames) << "stream " << st.id;
-  }
 }
 
 // stop() from another thread winds an endless run down promptly and the

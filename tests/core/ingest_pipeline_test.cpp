@@ -1,22 +1,15 @@
-// Codec-aware ingest against the live engine (DESIGN.md §13).
+// Stored-video ingest against the live engine (DESIGN.md §13).
 //
-// Runs the real FfsVaInstance over StoredSource streams and verifies the
-// DecodePolicy contract: kFull leaves the hint machinery untouched and
-// decodes everything; kHinted conserves frames through the fused
-// prefetch+SDD stage, actually skips decode work on filtered frames, and
-// produces (near-)identical survivor sets. Also units for the ingest
-// affinity helpers.
+// Runs the real FfsVaInstance over StoredSource streams: every stored
+// frame is decoded once before SDD, the ingest counters and the exported
+// SDD counters agree with the per-stream stats, and a stored stream shares
+// the SDD pool with a live one with both conserving frames.
 #include "core/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdlib>
-#include <iterator>
 #include <memory>
-#include <set>
 
-#include "runtime/thread_pool.hpp"
 #include "video/profiles.hpp"
 #include "video/source.hpp"
 
@@ -56,78 +49,24 @@ TestStream& shared_stream() {
   return *t;
 }
 
-std::set<std::int64_t> run_once(DecodePolicy policy,
-                                InstanceStats* stats_out = nullptr,
-                                double delta_override = -1.0) {
+TEST(StoredIngest, DecodesEveryFrame) {
   auto& s = shared_stream();
-  const double saved_delta = s.models.sdd->config().delta_diff;
-  if (delta_override >= 0.0) s.models.sdd->set_delta(delta_override);
-  FfsVaConfig cfg;
-  cfg.decode_policy = policy;
-  FfsVaInstance instance(cfg);
-  instance.add_stream(std::make_unique<video::StoredSource>(s.video, 0),
-                      s.models);
+  FfsVaInstance instance{FfsVaConfig{}};
+  instance.add_stream(std::make_unique<video::StoredSource>(s.video, 0), s.models);
   const auto stats = instance.run(/*online=*/false);
-  if (delta_override >= 0.0) s.models.sdd->set_delta(saved_delta);
-  if (stats_out != nullptr) *stats_out = stats;
-  std::set<std::int64_t> out;
-  for (const auto& ev : instance.outputs()) out.insert(ev.frame.index);
-  return out;
-}
-
-TEST(HintedIngest, FullPolicyLeavesHintCountersZero) {
-  InstanceStats stats;
-  run_once(DecodePolicy::kFull, &stats);
   ASSERT_EQ(stats.streams.size(), 1u);
   const auto& in = stats.streams[0].ingest;
   EXPECT_EQ(in.decode_full, 300u);
-  EXPECT_EQ(in.decode_skipped, 0u);
-  EXPECT_EQ(in.hint_passes, 0u);
-  EXPECT_EQ(in.hint_fallbacks, 0u);
   EXPECT_EQ(in.decode_ms.count, 300u);
-  // Satellite: the codec's compression ratio finally surfaces per stream.
+  // The codec's compression ratio surfaces per stream.
   EXPECT_GT(in.compression_ratio, 1.0);
 }
 
-TEST(HintedIngest, ConservesFramesThroughFusedStage) {
-  InstanceStats stats;
-  run_once(DecodePolicy::kHinted, &stats);
-  ASSERT_EQ(stats.streams.size(), 1u);
-  const auto& st = stats.streams[0];
-  // Every stored frame enters and is accounted exactly once.
-  EXPECT_EQ(st.prefetch.in, 300u);
-  EXPECT_EQ(st.prefetch.passed, 300u);
-  EXPECT_EQ(st.sdd.in, 300u);
-  EXPECT_EQ(st.snm.in, st.sdd.passed);
-  EXPECT_EQ(st.latency_ms.count(), 300u);
-  // Decode accounting: a frame is either reconstructed or hint-skipped,
-  // and every reconstructed frame was a hint pass or a fallback.
-  EXPECT_EQ(st.ingest.decode_full + st.ingest.decode_skipped, 300u);
-  EXPECT_EQ(st.ingest.hint_passes + st.ingest.hint_fallbacks,
-            st.ingest.decode_full);
-  EXPECT_EQ(st.ingest.decode_ms.count, 300u);
-}
-
-TEST(HintedIngest, MatchesFullPolicySurvivors) {
-  const auto full = run_once(DecodePolicy::kFull);
-  const auto hinted = run_once(DecodePolicy::kHinted);
-  // The conservative band allows <= 1% SDD verdict drift; everything the
-  // two runs disagree on must fit inside that band.
-  std::set<std::int64_t> diff;
-  std::set_symmetric_difference(full.begin(), full.end(), hinted.begin(),
-                                hinted.end(),
-                                std::inserter(diff, diff.begin()));
-  EXPECT_LE(diff.size(), 3u) << "hinted survivors drifted too far from full";
-}
-
-TEST(HintedIngest, RegistrySddCountersMatchStreamStats) {
-  // The fused prefetch+SDD stage ends frames through the same sink as the
-  // SDD pool, so the exported SDD counters agree with the per-stream stats
-  // on a hinted run.
+TEST(StoredIngest, RegistrySddCountersMatchStreamStats) {
+  // The exported SDD counters are derived from the same stream atomics the
+  // per-stream stats read.
   auto& s = shared_stream();
-  FfsVaConfig cfg;
-  cfg.decode_policy = DecodePolicy::kHinted;
-  FfsVaInstance instance(cfg);
+  FfsVaInstance instance{FfsVaConfig{}};
   for (int i = 0; i < 2; ++i) {
     instance.add_stream(std::make_unique<video::StoredSource>(s.video, i), s.models);
   }
@@ -144,86 +83,24 @@ TEST(HintedIngest, RegistrySddCountersMatchStreamStats) {
   EXPECT_EQ(m.counter_or("drop.sdd"), in - passed);
 }
 
-TEST(HintedIngest, StaticThresholdSkipsMostDecodes) {
-  // With the SDD threshold far above the scene's dynamic range every frame
-  // is droppable, and the hint chain should prove that without decoding.
-  InstanceStats stats;
-  const auto outputs =
-      run_once(DecodePolicy::kHinted, &stats, /*delta_override=*/1e6);
-  EXPECT_TRUE(outputs.empty());
-  const auto& in = stats.streams[0].ingest;
-  EXPECT_GT(in.decode_skipped, 150u)
-      << "hint chain failed to skip decode on droppable frames";
-  EXPECT_EQ(in.decode_full + in.decode_skipped, 300u);
-}
-
-TEST(HintedIngest, OnlineModeDisablesFusion) {
+TEST(StoredIngest, StoredAndLiveStreamsConserveFrames) {
+  // A stored stream and a live (rendered) stream share the SDD pool: each
+  // ingests, decodes and terminates every one of its frames.
   auto& s = shared_stream();
-  FfsVaConfig cfg;
-  cfg.decode_policy = DecodePolicy::kHinted;
-  cfg.online_fps = 240.0;  // speed the wall-clock run up
-  FfsVaInstance instance(cfg);
-  instance.add_stream(std::make_unique<video::StoredSource>(s.video, 0),
-                      s.models);
-  const auto stats = instance.run(/*online=*/true);
-  const auto& in = stats.streams[0].ingest;
-  // A live stream must never trust recorded hints: everything decodes.
-  EXPECT_EQ(in.decode_skipped, 0u);
-  EXPECT_EQ(in.hint_passes, 0u);
-  EXPECT_EQ(in.hint_fallbacks, 0u);
-  EXPECT_GT(in.decode_full, 0u);
-}
-
-TEST(HintedIngest, MixedPolicyStreamsCoexist) {
-  // One fused stream + one live (hint-less) stream under kHinted: the SDD
-  // pool serves the live stream while the fused stream closes its own SNM
-  // queue — both conserve frames.
-  auto& s = shared_stream();
-  FfsVaConfig cfg;
-  cfg.decode_policy = DecodePolicy::kHinted;
-  FfsVaInstance instance(cfg);
-  instance.add_stream(std::make_unique<video::StoredSource>(s.video, 0),
-                      s.models);
-  instance.add_stream(
-      std::make_unique<video::LiveSource>(s.sim, 1), s.models);
+  FfsVaInstance instance{FfsVaConfig{}};
+  instance.add_stream(std::make_unique<video::StoredSource>(s.video, 0), s.models);
+  instance.add_stream(std::make_unique<video::LiveSource>(s.sim, 1), s.models);
   const auto stats = instance.run(/*online=*/false);
   ASSERT_EQ(stats.streams.size(), 2u);
-  EXPECT_EQ(stats.streams[0].sdd.in, 300u);
-  EXPECT_EQ(stats.streams[0].latency_ms.count(), 300u);
-  EXPECT_EQ(stats.streams[1].ingest.decode_skipped, 0u);
-  EXPECT_EQ(stats.streams[1].latency_ms.count(), 1000u);
-  const auto agg = stats.aggregate();
-  EXPECT_EQ(agg.ingest.decode_full + agg.ingest.decode_skipped, 1300u);
-}
-
-TEST(IngestAffinity, ResolveHonorsEnvOverConfig) {
-  unsetenv("FFSVA_AFFINITY");
-  EXPECT_EQ(runtime::resolve_ingest_affinity(-1), -1);
-  EXPECT_EQ(runtime::resolve_ingest_affinity(2), 2);
-  setenv("FFSVA_AFFINITY", "3", 1);
-  EXPECT_EQ(runtime::resolve_ingest_affinity(-1), 3);
-  setenv("FFSVA_AFFINITY", "off", 1);
-  EXPECT_EQ(runtime::resolve_ingest_affinity(5), -1);
-  setenv("FFSVA_AFFINITY", "not-a-number", 1);
-  EXPECT_EQ(runtime::resolve_ingest_affinity(5), -1);
-  setenv("FFSVA_AFFINITY", "", 1);
-  EXPECT_EQ(runtime::resolve_ingest_affinity(5), -1);
-  unsetenv("FFSVA_AFFINITY");
-}
-
-TEST(IngestAffinity, PinningIsBestEffort) {
-  EXPECT_GE(runtime::cpu_count(), 1);
-  EXPECT_FALSE(runtime::pin_current_thread(-1));
-#ifdef __linux__
-  // Any non-negative cpu resolves to a set bit of the process mask.
-  EXPECT_TRUE(runtime::pin_current_thread(0));
-  EXPECT_TRUE(runtime::pin_current_thread(runtime::cpu_count() + 7));
-#endif
-}
-
-TEST(Config, DecodePolicyNames) {
-  EXPECT_STREQ(to_string(DecodePolicy::kFull), "full");
-  EXPECT_STREQ(to_string(DecodePolicy::kHinted), "hinted");
+  const std::uint64_t frames[] = {300, 1000};
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto& st = stats.streams[i];
+    EXPECT_EQ(st.prefetch.passed, frames[i]) << "stream " << i;
+    EXPECT_EQ(st.sdd.in, frames[i]) << "stream " << i;
+    EXPECT_EQ(st.ingest.decode_full, frames[i]) << "stream " << i;
+    EXPECT_EQ(st.terminated, frames[i]) << "stream " << i;
+    EXPECT_EQ(st.latency_ms.count(), frames[i]) << "stream " << i;
+  }
 }
 
 }  // namespace

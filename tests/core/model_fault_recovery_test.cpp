@@ -321,7 +321,15 @@ TEST(ModelFaultRecovery, StopMidModelCallReturnsPromptly) {
 
   InstanceStats stats;
   std::thread runner([&] { stats = instance.run(/*online=*/false); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  // Stop only once the first stall has fired, so stop() really lands
+  // mid-wedge: a fixed sleep can end before the 10th SNM call on a slow
+  // (sanitized) build, and with offline queues at their feedback
+  // thresholds the drain after stop() may never reach it either.
+  const auto fire_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (hook.triggered(0) < 1 && std::chrono::steady_clock::now() < fire_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(hook.triggered(0), 1) << "no stall fired before stop()";
   const auto t0 = std::chrono::steady_clock::now();
   instance.stop();
   runner.join();  // bounded by cancellation, not by the 60 s stall cap

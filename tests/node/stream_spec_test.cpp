@@ -163,11 +163,9 @@ TEST(Protocol, SnapshotRoundTripsEveryField) {
       c->passed = v();
     }
     for (auto* f : {&s.dropped_at_ingest, &s.terminated, &s.ingest.decode_full,
-                    &s.ingest.decode_skipped, &s.ingest.hint_passes,
-                    &s.ingest.hint_fallbacks, &s.fault.decode_errors, &s.fault.retries,
-                    &s.fault.restarts, &s.fault.degraded_frames,
-                    &s.fault.discarded_frames, &s.fault.cancelled_calls,
-                    &s.fault.poisoned_frames}) {
+                    &s.fault.decode_errors, &s.fault.retries, &s.fault.restarts,
+                    &s.fault.degraded_frames, &s.fault.discarded_frames,
+                    &s.fault.cancelled_calls, &s.fault.poisoned_frames}) {
       *f = v();
     }
     for (auto* d : {&s.sdd_queue_depth, &s.snm_queue_depth, &s.tyolo_queue_depth}) {
@@ -194,9 +192,9 @@ TEST(Protocol, SnapshotRoundTripsEveryField) {
         x.snm.passed, x.tyolo.in, x.tyolo.passed, x.ref.in, x.ref.passed,
         x.dropped_at_ingest, x.terminated, x.ingest_done, x.sdd_queue_depth,
         x.snm_queue_depth, x.tyolo_queue_depth, x.ingest_fps, in.decode_full,
-        in.decode_skipped, in.hint_passes, in.hint_fallbacks, in.compression_ratio,
-        f.decode_errors, f.retries, f.restarts, f.degraded_frames, f.discarded_frames,
-        f.cancelled_calls, f.poisoned_frames, f.quarantined);
+        in.compression_ratio, f.decode_errors, f.retries, f.restarts,
+        f.degraded_frames, f.discarded_frames, f.cancelled_calls, f.poisoned_frames,
+        f.quarantined);
   };
   const std::string wire = serialize_snapshot(snap);
   const auto got = parse_snapshot(wire);

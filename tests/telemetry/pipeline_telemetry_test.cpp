@@ -136,14 +136,13 @@ TEST(PipelineTelemetry, RealRunExportsTraceAndMetrics) {
       "ref.in", "ref.passed", "ref.seam_suppressed", "sdd.in", "sdd.passed",
       "snm.in", "snm.passed", "tyolo.in", "tyolo.passed"};
   const std::set<std::string> gauges = {
-      "decode.full", "decode.skipped", "drop.ingest", "fault.cancelled_calls",
-      "fault.decode_errors", "fault.degraded_frames", "fault.discarded_frames",
-      "fault.poisoned_frames", "fault.restarts", "fault.retries",
-      "latency.decode_p50_ms", "latency.decode_p99_ms", "prefetch.in",
-      "prefetch.passed", "queue.ref", "queue.sdd", "queue.snm", "queue.tyolo",
-      "sdd.hint_fallback", "sdd.hint_pass", "streams.quarantined",
-      "supervise.stall_ticks", "supervision.cancels", "supervision.poisoned_frames",
-      "supervision.stage_restarts"};
+      "decode.full", "drop.ingest", "fault.cancelled_calls", "fault.decode_errors",
+      "fault.degraded_frames", "fault.discarded_frames", "fault.poisoned_frames",
+      "fault.restarts", "fault.retries", "latency.decode_p50_ms",
+      "latency.decode_p99_ms", "prefetch.in", "prefetch.passed", "queue.ref",
+      "queue.sdd", "queue.snm", "queue.tyolo", "streams.quarantined",
+      "supervise.stall_ticks", "supervision.cancels", "supervision.stage_restarts"};
+  ASSERT_EQ(gauges.size(), 21u);
   const std::set<std::string> hists = {
       "executor.batch_size", "executor.ref_batch_size", "executor.tyolo_take",
       "latency.drop_ms", "latency.output_ms", "latency.recovery_ms",
