@@ -43,12 +43,12 @@ int main() {
     };
     const auto r = sim::simulate_ffsva(setup);
     double max_finish = 0;
-    for (const auto& s : r.streams) max_finish = std::max(max_finish, s.finish_time_sec);
+    for (const double t : r.finish_time_sec) max_finish = std::max(max_finish, t);
     std::printf("%-8s %-8s %16s\n", "stream", "TOR", "normalized time");
     bench::print_rule();
     for (int i = 0; i < n; ++i) {
       std::printf("%-8d %-8.2f %16.3f\n", i, 0.4 * i / (n - 1),
-                  r.streams[static_cast<std::size_t>(i)].finish_time_sec / max_finish);
+                  r.finish_time_sec[static_cast<std::size_t>(i)] / max_finish);
     }
     std::printf("(paper: near-equal except the very low-TOR streams)\n");
   }

@@ -9,9 +9,11 @@
 // firing when a camera is bumped mid-day.
 //
 // Build & run:  ./build/examples/day_simulation
+#include <cstdint>
 #include <cstdio>
 
 #include "core/cluster.hpp"
+#include "core/pipeline.hpp"
 #include "detect/scene_change.hpp"
 #include "runtime/rng.hpp"
 #include "sim/ffsva_sim.hpp"
@@ -45,6 +47,10 @@ int main() {
               "per-instance capacity", "placement", "action");
   std::printf("--------------------------------------------------------------\n");
 
+  // Each instance's cumulative T-YOLO served count, as its snapshots carry.
+  std::uint64_t served[kInstances] = {};
+  const auto tyolo_cap =
+      static_cast<std::size_t>(config.capacity(config.tyolo_queue_depth));
   runtime::Xoshiro256 rng(99);
   for (int hour = 0; hour < 24; hour += 2) {
     const double tor = schedule.tor_at(hour * 3600.0);
@@ -71,13 +77,17 @@ int main() {
       // distractor-motion residue).
       const double tyolo_fps =
           30.0 * load * (tor * 0.95 + (1.0 - tor) * 0.35 * 0.12);
+      // Report the row a node's snapshot shows: its cumulative T-YOLO
+      // count, and a T-YOLO queue at its threshold while overloaded.
+      core::InstanceStats snap;
+      core::StreamStats& row = snap.streams.emplace_back();
+      row.tyolo_queue_depth = load > capacity ? tyolo_cap : 0;
       for (double t = now - 6.0; t <= now; t += 0.5) {
-        cluster.report_tyolo_service(inst, t, static_cast<int>(tyolo_fps / 2));
+        served[inst] += static_cast<std::uint64_t>(tyolo_fps / 2);
+        row.tyolo.in = served[inst];
+        cluster.report_snapshot(inst, t, snap);
       }
-      if (load > capacity) {
-        cluster.report_queue_over_threshold(inst, now);
-        action = "overload reported";
-      }
+      if (load > capacity) action = "overload reported";
     }
     int moved = 0;
     while (auto d = cluster.next_reforward(now + 0.001 * moved)) {

@@ -9,10 +9,11 @@
 //    another FFS-VA instance with spare capacity immediately."
 //
 // ClusterManager is the pure placement policy: each instance reports its
-// T-YOLO service rate and queue-overflow events; the manager admits new
-// streams to instances with spare capacity and moves streams away from
-// overloaded ones. It holds no threads and no sockets — embedding it in a
-// real control plane (or the simulator) is the caller's job.
+// engine snapshots, from which the manager reads the T-YOLO service rate and
+// queue-overflow events; it admits new streams to instances with spare
+// capacity and moves streams away from overloaded ones. It holds no threads
+// and no sockets — embedding it in a real control plane (or the simulator)
+// is the caller's job.
 //
 // Thread safety: a real control plane reports snapshots from sampler
 // threads while placement questions arrive from an admission path, so every
@@ -44,13 +45,9 @@ class ClusterManager {
 
   int num_instances() const { return num_instances_; }
 
-  /// Telemetry from instance `id` at time `now_sec`.
-  void report_tyolo_service(int id, double now_sec, int frames)
-      FFSVA_EXCLUDES(mu_);
-  void report_queue_over_threshold(int id, double now_sec) FFSVA_EXCLUDES(mu_);
-
-  /// Fold one live engine snapshot (FfsVaInstance::snapshot()) into the
-  /// placement signals — the preferred reporting path for real instances:
+  /// Fold one engine snapshot (FfsVaInstance::snapshot(), or a row a
+  /// simulator builds the same way) from instance `id` at time `now_sec`
+  /// into the placement signals — the one reporting path:
   ///  * the T-YOLO served delta since the previous snapshot feeds the
   ///    admission window (a counter that went backwards re-baselines, so an
   ///    instance restart does not poison the rate);

@@ -88,10 +88,6 @@ struct FfsVaConfig {
   /// O(streams)); 0 = auto, which resolves to the FFSVA_THREADS compute
   /// parallelism capped by the stream count.
   int sdd_workers = 0;
-  /// Frames one SDD worker processes from a claimed stream before
-  /// rescanning: bounds how long a busy stream can monopolize a worker when
-  /// streams outnumber workers.
-  int sdd_run_length = 32;
 
   // --- online mode ----------------------------------------------------------
   double online_fps = 30.0;

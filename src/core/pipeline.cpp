@@ -1,8 +1,7 @@
-// relaxed-ok: per-stream frame/fault counters — including the ingest
-// decode_full count — are single-logical-writer cells snapshotted mid-run
-// (approximate by contract) and frozen after the stage joins; the
-// claim/quarantine edges that need ordering use acq_rel — see the Stream
-// struct comments below.
+// relaxed-ok: per-stream frame/fault counters are single-logical-writer
+// cells snapshotted mid-run (approximate by contract) and frozen after the
+// stage joins; the claim/quarantine edges that need ordering use acq_rel —
+// see the Stream struct comments below.
 #include "core/pipeline.hpp"
 
 #include <algorithm>
@@ -38,6 +37,10 @@ constexpr int kStageMaxRestarts = 3;   ///< Restarts per stage thread.
 /// Queue threshold of the reference-stage drain under BatchPolicy::kFeedback
 /// (the analogue of snm_queue_depth); ref_queue_depth stays the capacity.
 constexpr int kRefQueueThreshold = 16;
+/// Frames one SDD worker processes from a claimed stream before rescanning:
+/// bounds how long a busy stream can monopolize a worker when streams
+/// outnumber workers.
+constexpr int kSddRunLength = 32;
 
 /// How a frame's trip through the cascade ended. The first four values mean
 /// "dropped by that stage" and share StageId's numbering; every ingested
@@ -119,6 +122,9 @@ StreamStats InstanceStats::aggregate() const {
     agg.ref += s.ref;
     agg.dropped_at_ingest += s.dropped_at_ingest;
     agg.terminated += s.terminated;
+    agg.sdd_queue_depth += s.sdd_queue_depth;
+    agg.snm_queue_depth += s.snm_queue_depth;
+    agg.tyolo_queue_depth += s.tyolo_queue_depth;
     agg.latency_ms.merge(s.latency_ms);
     agg.ingest_fps += s.ingest_fps;
     agg.ingest.decode_full += s.ingest.decode_full;
@@ -161,8 +167,6 @@ struct FfsVaInstance::Stream {
   std::atomic<std::uint64_t> restarts{0};
   std::atomic<double> ingest_wall_sec{0.0};
 
-  /// Frames the source reconstructed (every ingested frame is decoded).
-  std::atomic<std::uint64_t> decode_full{0};
   /// Decode-stage latency. AtomicHistogram (not runtime::Histogram):
   /// metrics_snapshot() reads it live while the prefetch thread records, so
   /// recording must be lock-free and thread-safe.
@@ -333,7 +337,7 @@ struct FfsVaInstance::Stream {
     ss.tyolo_queue_depth = tyolo_q.depth();
     const double iw = ingest_wall_sec.load(std::memory_order_relaxed);
     if (iw > 0.0) ss.ingest_fps = static_cast<double>(ss.prefetch.passed) / iw;
-    ss.ingest.decode_full = ld(decode_full);
+    ss.ingest.decode_full = ss.prefetch.in;  // every source frame is decoded
     if (const auto cs = source->codec_stats()) {
       ss.ingest.compression_ratio = cs->compression_ratio();
     }
@@ -497,41 +501,28 @@ InstanceStats FfsVaInstance::snapshot() const {
   return snap;
 }
 
-telemetry::MetricsSnapshot FfsVaInstance::metrics_snapshot() const {
-  telemetry::MetricsSnapshot m = metrics_.snapshot();
-  const InstanceStats snap = snapshot();
+telemetry::MetricsSnapshot stats_metrics(const InstanceStats& snap,
+                                         const telemetry::HistogramSnapshot& decode_ms,
+                                         telemetry::MetricsSnapshot host) {
   const StreamStats agg = snap.aggregate();
-
-  static constexpr const char* kStageNames[kNumStages] = {"sdd", "snm", "tyolo", "ref"};
-  const runtime::StageCounters* stage[kNumStages] = {&agg.sdd, &agg.snm, &agg.tyolo,
-                                                     &agg.ref};
-  for (int st = 0; st < kNumStages; ++st) {
-    const std::string name = kStageNames[st];
-    m.counters.emplace_back(name + ".in", stage[st]->in);
-    m.counters.emplace_back(name + ".passed", stage[st]->passed);
-    m.counters.emplace_back("drop." + name, stage[st]->filtered());  // saturating
+  const std::pair<const char*, const runtime::StageCounters*> stages[] = {
+      {"sdd", &agg.sdd}, {"snm", &agg.snm}, {"tyolo", &agg.tyolo}, {"ref", &agg.ref}};
+  for (const auto& [stage, c] : stages) {
+    const std::string name = stage;
+    host.counters.emplace_back(name + ".in", c->in);
+    host.counters.emplace_back(name + ".passed", c->passed);
+    host.counters.emplace_back("drop." + name, c->filtered());  // saturating
   }
 
-  // The decode histograms are read live here rather than through
-  // snapshot(), which would copy them on every poll.
-  telemetry::HistogramSnapshot decode;
-  std::size_t depth[3] = {};
-  for (const StreamStats& ss : snap.streams) {
-    decode.merge(streams_[static_cast<std::size_t>(ss.id)]->decode_ms.snapshot());
-    depth[0] += ss.sdd_queue_depth;
-    depth[1] += ss.snm_queue_depth;
-    depth[2] += ss.tyolo_queue_depth;
-  }
   const HealthSummary& h = snap.health;
   const auto& f = agg.fault;
   const auto d = [](auto v) { return static_cast<double>(v); };
-  m.gauges.insert(m.gauges.end(), {
+  host.gauges.insert(host.gauges.end(), {
       {"prefetch.in", d(agg.prefetch.in)},
       {"prefetch.passed", d(agg.prefetch.passed)},
       {"drop.ingest", d(agg.dropped_at_ingest)},
-      {"decode.full", d(agg.ingest.decode_full)},
-      {"latency.decode_p50_ms", decode.count ? decode.quantile(0.5) : 0.0},
-      {"latency.decode_p99_ms", decode.count ? decode.quantile(0.99) : 0.0},
+      {"latency.decode_p50_ms", decode_ms.count ? decode_ms.quantile(0.5) : 0.0},
+      {"latency.decode_p99_ms", decode_ms.count ? decode_ms.quantile(0.99) : 0.0},
       {"fault.decode_errors", d(f.decode_errors)},
       {"fault.retries", d(f.retries)},
       {"fault.restarts", d(f.restarts)},
@@ -543,16 +534,28 @@ telemetry::MetricsSnapshot FfsVaInstance::metrics_snapshot() const {
       {"supervise.stall_ticks", d(h.stage_stall_ticks)},
       {"supervision.cancels", d(h.cancels)},
       {"supervision.stage_restarts", d(h.stage_restarts)},
-      {"queue.sdd", d(depth[0])},
-      {"queue.snm", d(depth[1])},
-      {"queue.tyolo", d(depth[2])},
+      {"queue.sdd", d(agg.sdd_queue_depth)},
+      {"queue.snm", d(agg.snm_queue_depth)},
+      {"queue.tyolo", d(agg.tyolo_queue_depth)},
       {"queue.ref", d(snap.ref_queue_depth)},
   });
 
   const auto by_name = [](const auto& a, const auto& b) { return a.first < b.first; };
-  std::sort(m.counters.begin(), m.counters.end(), by_name);
-  std::sort(m.gauges.begin(), m.gauges.end(), by_name);
-  return m;
+  std::sort(host.counters.begin(), host.counters.end(), by_name);
+  std::sort(host.gauges.begin(), host.gauges.end(), by_name);
+  return host;
+}
+
+telemetry::MetricsSnapshot FfsVaInstance::metrics_snapshot() const {
+  telemetry::MetricsSnapshot m = metrics_.snapshot();
+  const InstanceStats snap = snapshot();
+  // The decode histograms are read live here rather than through
+  // snapshot(), which would copy them on every poll.
+  telemetry::HistogramSnapshot decode;
+  for (const StreamStats& ss : snap.streams) {
+    decode.merge(streams_[static_cast<std::size_t>(ss.id)]->decode_ms.snapshot());
+  }
+  return stats_metrics(snap, decode, std::move(m));
 }
 
 void FfsVaInstance::stop() {
@@ -642,7 +645,6 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online) {
     }
     if (!f) break;  // normal end of stream
     consecutive_retries = 0;
-    s->decode_full.fetch_add(1, std::memory_order_relaxed);
     s->decode_ms.record(ms_since(decode_t0));
     s->prefetch_in.fetch_add(1, std::memory_order_relaxed);
     Item item{std::move(*f), Clock::now()};
@@ -687,7 +689,6 @@ void FfsVaInstance::run_stage(runtime::InflightCall& call,
 }
 
 bool FfsVaInstance::sdd_worker_loop(int worker, bool allow_restart) {
-  const int run_length = std::max(1, config_.sdd_run_length);
   runtime::InflightCall& call = sdd_call_[static_cast<std::size_t>(worker)];
   int cursor = worker;  // stagger workers across streams
   for (;;) {
@@ -712,7 +713,7 @@ bool FfsVaInstance::sdd_worker_loop(int worker, bool allow_restart) {
       const auto to_snm = [&s](Item& it) { return s.snm_q.push(std::move(it)); };
       int processed = 0;
       bool restart_requested = false;
-      while (processed < run_length) {
+      while (processed < kSddRunLength) {
         // Order matters: observe close *before* the failed pop, so an empty
         // pop on a closed queue really means end-of-stream (a push cannot
         // land after close).
@@ -965,22 +966,22 @@ bool FfsVaInstance::gpu0_loop(bool allow_restart) {
 
 bool FfsVaInstance::reference_loop(bool allow_restart,
                                    std::vector<RefEntry>& pending) {
-  // Drain ref_q under a second DynamicBatcher (via BatchDrain, reusing the
-  // run's BatchPolicy) into cross-stream batches, then evaluate each batch
+  // Drain ref_q under a second DynamicBatcher (reusing the run's
+  // BatchPolicy) into cross-stream batches, then evaluate each batch
   // in one go — detect_batch under kBatch, crop-consolidated mosaics under
   // kCropPack. GPU1 is owned by this thread: device placement holds by
   // construction, not a lock. Per-frame outcomes are applied in batch
   // order = pop order (per-stream FIFO preserved), and a frame whose
   // evaluation throws is dropped alone (RefBatchItem::ok) — batch-mates
   // are unaffected.
-  const BatchDrain drain(config_.batch_policy, config_.ref_batch_size,
-                         kRefQueueThreshold);
+  const DynamicBatcher batcher(config_.batch_policy, config_.ref_batch_size,
+                               kRefQueueThreshold);
   // bounded-ok: pending never exceeds ref_batch_size entries — the top-up
   // loop stops at the batch cap and the blocking pop adds one only when the
   // policy is still waiting below the cap. (The vector itself lives in the
   // reference thread's run_stage caller so popped entries survive a stage
   // restart.)
-  pending.reserve(static_cast<std::size_t>(drain.batch_size()));
+  pending.reserve(static_cast<std::size_t>(batcher.batch_size()));
   std::vector<RefEntry*> batch;  // eligible entries, in batch order
   std::vector<const detect::ReferenceDetector*> detectors;
   std::vector<const image::Image*> imgs;
@@ -990,7 +991,7 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
   for (;;) {
     // Non-blocking top-up to the batch cap. Observe close *before* the
     // failed pop so an empty pop on a closed queue means end-of-stream.
-    while (static_cast<int>(pending.size()) < drain.batch_size() && !ended) {
+    while (static_cast<int>(pending.size()) < batcher.batch_size() && !ended) {
       const bool closed = ref_q_.closed();
       auto e = ref_q_.try_pop();
       if (!e) {
@@ -999,8 +1000,8 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
       }
       pending.push_back(std::move(*e));
     }
-    const auto step = drain.next(static_cast<int>(pending.size()), ended);
-    if (step.block) {
+    const auto step = batcher.next_batch(static_cast<int>(pending.size()), ended);
+    if (step.wait) {
       // The policy wants a fuller batch: sleep on the queue, never poll.
       auto e = ref_q_.pop();
       if (!e) {

@@ -18,7 +18,7 @@
 //    exclusivity holds by construction — no GPU0 mutex, no contention,
 //  * one reference-model thread (GPU1) draining the survivors. Under
 //    RefMode::kBatch it consumes ref_q in cross-stream micro-batches
-//    (BatchDrain + detect_batch, work spread over the compute pool); under
+//    (DynamicBatcher + detect_batch, work spread over the compute pool); under
 //    RefMode::kCropPack it consolidates T-YOLO's candidate boxes from many
 //    streams into mosaic canvases first (detect/crop_pack.hpp). Both keep
 //    GPU1 single-owner and preserve per-stream FIFO order and the per-frame
@@ -81,10 +81,11 @@ struct FaultStats {
   }
 };
 
-/// Ingest accounting (DESIGN.md §13). Every ingested frame is decoded
-/// before SDD, so decode_full equals the stream's prefetch.in.
+/// Ingest accounting (DESIGN.md §13).
 struct IngestStats {
-  std::uint64_t decode_full = 0;   ///< Frames fully reconstructed.
+  /// Frames fully reconstructed: every source frame is decoded, so this is
+  /// prefetch.in, derived where a row is read or parsed.
+  std::uint64_t decode_full = 0;
   double compression_ratio = 0.0;  ///< Source bitstream raw/encoded (0 = n/a).
   telemetry::HistogramSnapshot decode_ms;  ///< Decode-stage latency (per frame).
 };
@@ -158,6 +159,7 @@ struct InstanceStats {
   double wall_sec = 0.0;
   double total_throughput_fps = 0.0;  ///< Ingested frames / wall seconds.
 
+  /// The stream rows summed, queue depths included.
   StreamStats aggregate() const;
   /// Total frames served by the T-YOLO stage across streams (the cluster
   /// admission signal: its rate of change is the T-YOLO service speed).
@@ -166,15 +168,17 @@ struct InstanceStats {
     for (const auto& s : streams) n += s.tyolo.in;
     return n;
   }
-  /// Largest filter-queue depth across streams (overload indicator).
-  std::size_t max_queue_depth() const {
-    std::size_t d = 0;
-    for (const auto& s : streams) {
-      d = std::max({d, s.sdd_queue_depth, s.snm_queue_depth, s.tyolo_queue_depth});
-    }
-    return d;
-  }
 };
+
+/// The stats-derived half of every exported metrics row, shared by the
+/// engine and the simulator so both write one schema: the `<stage>.in`,
+/// `<stage>.passed` and `drop.<stage>` counters of sdd/snm/tyolo/ref, and
+/// every gauge (ingest, decode latency, fault, supervision and queue
+/// depths). Appended to `host`, which holds what the host records on its
+/// own, and sorted by name, like Registry::snapshot().
+telemetry::MetricsSnapshot stats_metrics(const InstanceStats& snap,
+                                         const telemetry::HistogramSnapshot& decode_ms,
+                                         telemetry::MetricsSnapshot host = {});
 
 class FfsVaInstance {
  public:
@@ -265,10 +269,9 @@ class FfsVaInstance {
   /// in it — they live in the stream atomics snapshot() reads.
   telemetry::Registry& metrics() { return metrics_; }
 
-  /// What the exporter samples: the registry snapshot plus the stage
-  /// counters (`<stage>.in`, `<stage>.passed`, `drop.<stage>`) and the
-  /// ingest/fault/supervision/queue gauges, all derived from one
-  /// snapshot(). Sorted by name, like Registry::snapshot(). Thread-safe;
+  /// What the exporter samples: stats_metrics() over one snapshot() and
+  /// the live decode histograms, on top of the registry snapshot (the
+  /// executor.* and ref.* counters and the histograms). Thread-safe;
   /// mid-run values are approximate (see StreamStats).
   telemetry::MetricsSnapshot metrics_snapshot() const;
 
@@ -427,7 +430,7 @@ class FfsVaInstance {
   telemetry::MetricsExporter exporter_{[this] { return metrics_snapshot(); }};
 
   /// The four stages of the cascade, in order; indexes every per-stage
-  /// table (stream counters, exported counter names, terminal fates).
+  /// table (stream counters, terminal fates).
   enum StageId : int { kSdd, kSnm, kTyolo, kRef, kNumStages };
 
   /// Hot-path handles, resolved once in wire_metrics() so stage loops never

@@ -1,7 +1,9 @@
 // Pipeline scheduling policies as pure logic, shared verbatim by the
 // threaded engine (src/core/pipeline.*) and the discrete-event simulator
 // (src/sim). Keeping them engine-agnostic is what makes the simulated
-// performance figures an evaluation of the *production* policy code.
+// performance figures an evaluation of the *production* policy code. The
+// feedback-queue throttle itself (Section 4.3.1) is no policy object: it is
+// a blocking push on a queue bounded at FfsVaConfig::capacity(threshold).
 #pragma once
 
 #include <algorithm>
@@ -28,109 +30,38 @@ class DynamicBatcher {
       : policy_(policy), batch_size_(std::max(1, batch_size)),
         queue_threshold_(std::max(1, queue_threshold)) {}
 
+  /// Frames a batch waits for before it may run (Section 4.3.2): a full
+  /// BatchSize (kStatic, Figure 9: throughput keeps growing with BatchSize,
+  /// latency grows with it too); the queue-full level min(BatchSize,
+  /// threshold) (kFeedback: "when the batch size is greater than the queue
+  /// depth threshold, video frames have to wait"); any one frame (kDynamic).
+  int target() const {
+    if (policy_ == BatchPolicy::kDynamic) return 1;
+    return policy_ == BatchPolicy::kStatic ? batch_size_
+                                           : std::min(batch_size_, queue_threshold_);
+  }
+
   /// `available`: frames waiting; `stream_ended`: no more frames will come
-  /// (drain whatever is left instead of waiting forever).
+  /// (drain whatever is left instead of waiting forever). A batch waits
+  /// below target() and takes up to BatchSize — up to target() under
+  /// kFeedback, whose batch never exceeds the queue threshold.
   BatchDecision next_batch(int available, bool stream_ended) const {
     BatchDecision d;
-    if (available <= 0) {
-      d.wait = !stream_ended;
-      return d;
-    }
-    switch (policy_) {
-      case BatchPolicy::kStatic:
-        // Wait for a full batch (Figure 9: throughput keeps growing with
-        // BatchSize, latency grows with it too).
-        if (available < batch_size_ && !stream_ended) {
-          d.wait = true;
-        } else {
-          d.take = std::min(available, batch_size_);
-        }
-        break;
-      case BatchPolicy::kFeedback: {
-        // Feedback-queue alone: the queue can never hold more than its
-        // threshold, so a batch larger than the threshold waits for the
-        // queue-full level instead ("when the batch size is greater than
-        // the queue depth threshold, video frames have to wait").
-        const int target = std::min(batch_size_, queue_threshold_);
-        if (available < target && !stream_ended) {
-          d.wait = true;
-        } else {
-          d.take = std::min(available, target);
-        }
-        break;
-      }
-      case BatchPolicy::kDynamic:
-        // Take whatever is there, up to BatchSize; never wait for more.
-        d.take = std::min(available, batch_size_);
-        break;
+    if (available < target() && !stream_ended) {
+      d.wait = true;
+    } else {
+      const int cap = policy_ == BatchPolicy::kFeedback ? target() : batch_size_;
+      d.take = std::clamp(available, 0, cap);
     }
     return d;
   }
 
-  BatchPolicy policy() const { return policy_; }
   int batch_size() const { return batch_size_; }
 
  private:
   BatchPolicy policy_;
   int batch_size_;
   int queue_threshold_;
-};
-
-/// Drain driver for a batched single-consumer stage fed by one bounded
-/// queue — the GPU1 reference loop. The consumer keeps a pending buffer of
-/// already-popped items and asks next() what to do; the DynamicBatcher
-/// decision is translated into the only two moves a queue consumer has:
-/// consume `take` buffered items now, or blocking-pop one more item first
-/// (which is how a kStatic/kFeedback policy waits for a fuller batch
-/// without polling). Pure logic, shared with tests.
-class BatchDrain {
- public:
-  BatchDrain(BatchPolicy policy, int batch_size, int queue_threshold)
-      : batcher_(policy, batch_size, queue_threshold) {}
-
-  struct Step {
-    int take = 0;       ///< Consume this many pending items now.
-    bool block = false; ///< Blocking-pop one more item before re-deciding.
-  };
-
-  /// `pending`: items buffered by the consumer; `ended`: the queue is
-  /// closed and drained (no more items will ever arrive). take == 0 and
-  /// block == false together mean the stage is done.
-  Step next(int pending, bool ended) const {
-    const auto d = batcher_.next_batch(pending, ended);
-    if (d.wait) return {0, true};
-    return {d.take, false};
-  }
-
-  int batch_size() const { return batcher_.batch_size(); }
-
- private:
-  DynamicBatcher batcher_;
-};
-
-/// Feedback-queue throttle (Section 4.3.1): a stage must pause pushing when
-/// its downstream queue is at or above the threshold. With bounded queues
-/// this emerges naturally from a blocking push; the explicit predicate is
-/// used by the simulator and by stages that would rather keep *filtering*
-/// (the bypass: SDD can keep discarding background frames while the SNM
-/// queue is full, because only passing frames need the downstream slot).
-class FeedbackController {
- public:
-  explicit FeedbackController(const FfsVaConfig& config) : config_(config) {}
-
-  bool sdd_may_push(int snm_queue_depth) const {
-    return snm_queue_depth < effective(config_.snm_queue_depth);
-  }
-  bool snm_may_push(int tyolo_queue_depth) const {
-    return tyolo_queue_depth < effective(config_.tyolo_queue_depth);
-  }
-  bool tyolo_may_push(int ref_queue_depth) const {
-    return ref_queue_depth < effective(config_.ref_queue_depth);
-  }
-
- private:
-  int effective(int threshold) const { return config_.capacity(threshold); }
-  FfsVaConfig config_;
 };
 
 /// Round-robin T-YOLO service order with a per-stream extraction cap
@@ -160,8 +91,6 @@ class TYoloScheduler {
     }
     return Pick{};
   }
-
-  int num_tyolo() const { return num_tyolo_; }
 
  private:
   int cursor_ = -1;

@@ -65,7 +65,6 @@ void write_stream(std::ostream& os, const core::StreamStats& s) {
   w(os, static_cast<std::uint64_t>(s.snm_queue_depth));
   w(os, static_cast<std::uint64_t>(s.tyolo_queue_depth));
   w(os, s.ingest_fps);
-  w(os, s.ingest.decode_full);
   w(os, s.ingest.compression_ratio);
   write_fault(os, s.fault);
 }
@@ -80,10 +79,11 @@ bool read_stream(std::istream& is, core::StreamStats* s) {
   std::uint64_t sddq = 0, snmq = 0, tyq = 0;
   if (!(r(is, &s->dropped_at_ingest) && r(is, &s->terminated) &&
         r_bool(is, &s->ingest_done) && r(is, &sddq) && r(is, &snmq) &&
-        r(is, &tyq) && r(is, &s->ingest_fps) && r(is, &s->ingest.decode_full) &&
+        r(is, &tyq) && r(is, &s->ingest_fps) &&
         r(is, &s->ingest.compression_ratio) && read_fault(is, &s->fault))) {
     return false;
   }
+  s->ingest.decode_full = s->prefetch.in;  // every source frame is decoded
   s->sdd_queue_depth = static_cast<std::size_t>(sddq);
   s->snm_queue_depth = static_cast<std::size_t>(snmq);
   s->tyolo_queue_depth = static_cast<std::size_t>(tyq);

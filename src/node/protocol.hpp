@@ -79,7 +79,8 @@ struct StreamResults {
   static std::optional<StreamResults> parse(std::string_view payload);
 };
 
-/// kSnapshot reply: the engine snapshot, verbatim.
+/// kSnapshot reply: every field the engine's snapshot() fills, except
+/// ingest.decode_full, which parsing derives from prefetch.in.
 std::string serialize_snapshot(const core::InstanceStats& snap);
 std::optional<core::InstanceStats> parse_snapshot(std::string_view payload);
 

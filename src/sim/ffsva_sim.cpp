@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 #include "core/policies.hpp"
 #include "sim/engine.hpp"
@@ -35,9 +33,11 @@ struct SimStream {
   SimQueue<SimFrame> sdd_q;
   SimQueue<SimFrame> snm_q;
   SimQueue<SimFrame> tyolo_q;
-  std::int64_t emitted = 0;
   bool snm_done = false;
-  SimStreamStats stats;
+  core::StreamStats stats;  ///< Counters only; see SimResult::stats.
+  /// Report-only, as in the engine: merged into the result's row at the end.
+  runtime::Histogram latency_ms;
+  double finish_time_sec = 0.0;  ///< Virtual time of the last output.
 
   SimStream(int id_, std::unique_ptr<OutcomeSource> out, const core::FfsVaConfig& cfg,
             bool online)
@@ -45,8 +45,38 @@ struct SimStream {
         sdd_q(online ? static_cast<std::size_t>(std::max(1, cfg.ingest_buffer))
                      : static_cast<std::size_t>(cfg.capacity(cfg.sdd_queue_depth))),
         snm_q(static_cast<std::size_t>(cfg.capacity(cfg.snm_queue_depth))),
-        tyolo_q(static_cast<std::size_t>(cfg.capacity(cfg.tyolo_queue_depth))) {}
+        tyolo_q(static_cast<std::size_t>(cfg.capacity(cfg.tyolo_queue_depth))) {
+    stats.id = id_;
+  }
+
+  /// A queued frame's trip ended at `now`, filtered or output.
+  void finish(double now, const SimFrame& fr) {
+    latency_ms.add((now - fr.arrival) * 1e3);
+    ++stats.terminated;
+  }
 };
+
+/// Completes a result from its per-stream record once the run has drained
+/// at r.sim_time_sec: the instance totals and the run-level rates. Returns
+/// the streams' aggregate.
+core::StreamStats summarize(SimResult& r) {
+  r.stats.health.healthy_streams = static_cast<int>(r.stats.streams.size());
+  for (double& t : r.finish_time_sec) {
+    if (t == 0.0) t = r.sim_time_sec;
+  }
+  const core::StreamStats agg = r.stats.aggregate();
+  r.stats.outputs = agg.ref.passed;
+  const double arrived = static_cast<double>(agg.prefetch.in);
+  r.drop_rate =
+      arrived > 0 ? static_cast<double>(agg.dropped_at_ingest) / arrived : 0.0;
+  r.realtime = r.drop_rate <= 0.005;
+  r.throughput_fps = r.sim_time_sec > 0
+                         ? static_cast<double>(agg.prefetch.passed) / r.sim_time_sec
+                         : 0.0;
+  r.tyolo_service_fps =
+      r.sim_time_sec > 0 ? static_cast<double>(agg.tyolo.in) / r.sim_time_sec : 0.0;
+  return agg;
+}
 
 class FfsVaSimulation {
  public:
@@ -58,8 +88,7 @@ class FfsVaSimulation {
         ref_q_(static_cast<std::size_t>(setup.config.capacity(setup.config.ref_queue_depth))),
         scheduler_(setup.config.num_tyolo),
         batcher_(setup.config.batch_policy, setup.config.batch_size,
-                 setup.config.snm_queue_depth),
-        admission_(setup.config.admit_tyolo_fps, setup.config.admit_window_sec) {
+                 setup.config.snm_queue_depth) {
     for (int i = 0; i < setup.num_streams; ++i) {
       auto outcomes = setup.make_outcomes
                           ? setup.make_outcomes(i)
@@ -122,60 +151,30 @@ class FfsVaSimulation {
     });
   }
 
-  telemetry::MetricsSnapshot metrics_snapshot() const {
-    telemetry::MetricsSnapshot s;
-    std::int64_t sdd_in = 0, sdd_pass = 0, snm_in = 0, snm_pass = 0;
-    std::int64_t ty_in = 0, ty_pass = 0, outputs = 0, dropped = 0;
-    std::size_t q_sdd = 0, q_snm = 0, q_ty = 0;
+  /// The stream rows and queue depths the engine's snapshot() reads, at
+  /// this virtual instant.
+  core::InstanceStats snapshot() const {
+    core::InstanceStats snap;
     for (const auto& st : streams_) {
-      sdd_in += st->stats.sdd_in;
-      sdd_pass += st->stats.sdd_pass;
-      snm_in += st->stats.snm_in;
-      snm_pass += st->stats.snm_pass;
-      ty_in += st->stats.tyolo_in;
-      ty_pass += st->stats.tyolo_pass;
-      outputs += st->stats.outputs;
-      dropped += st->stats.dropped;
-      q_sdd += st->sdd_q.depth();
-      q_snm += st->snm_q.depth();
-      q_ty += st->tyolo_q.depth();
+      core::StreamStats& row = snap.streams.emplace_back(st->stats);
+      row.sdd_queue_depth = st->sdd_q.depth();
+      row.snm_queue_depth = st->snm_q.depth();
+      row.tyolo_queue_depth = st->tyolo_q.depth();
     }
-    const auto c = [&s](const char* name, std::int64_t v) {
-      s.counters.emplace_back(name, static_cast<std::uint64_t>(v));
-    };
-    // Same names as the engine registry so downstream tooling reads both.
-    c("drop.ingest", dropped);
-    c("drop.sdd", sdd_in - sdd_pass);
-    c("drop.snm", snm_in - snm_pass);
-    c("drop.tyolo", ty_in - ty_pass);
-    c("executor.snm_batches", snm_batches_);
-    c("ref.passed", outputs);
-    c("sdd.in", sdd_in);
-    c("sdd.passed", sdd_pass);
-    c("snm.in", snm_in);
-    c("snm.passed", snm_pass);
-    c("tyolo.in", ty_in);
-    c("tyolo.passed", ty_pass);
-    s.gauges.emplace_back("queue.ref", static_cast<double>(ref_q_.depth()));
-    s.gauges.emplace_back("queue.sdd", static_cast<double>(q_sdd));
-    s.gauges.emplace_back("queue.snm", static_cast<double>(q_snm));
-    s.gauges.emplace_back("queue.tyolo", static_cast<double>(q_ty));
-    return s;
+    snap.ref_queue_depth = ref_q_.depth();
+    return snap;
   }
 
+  /// The engine's row: stats_metrics() over snapshot(), on top of the one
+  /// registry counter the simulator also keeps.
   void emit_metrics_row() {
-    const double t = engine_.now();
-    telemetry::MetricsSnapshot cur = metrics_snapshot();
-    const double dt = t - last_metrics_t_;
-    if (dt <= 0.0 && have_metrics_prev_) return;  // nothing elapsed
-    *setup_.metrics_sink << telemetry::metrics_jsonl_row(
-                                cur, have_metrics_prev_ ? &metrics_prev_ : nullptr,
-                                t, dt, setup_.metrics_label)
-                         << '\n';
-    metrics_prev_ = std::move(cur);
-    last_metrics_t_ = t;
-    have_metrics_prev_ = true;
+    telemetry::MetricsSnapshot host;
+    host.counters.emplace_back("executor.snm_batches", snm_batches_);
+    metrics_rows_.append(*setup_.metrics_sink,
+                         core::stats_metrics(snapshot(), {}, std::move(host)),
+                         engine_.now(), setup_.metrics_label);
   }
+
   // ----------------------------------------------------------- prefetch --
   void start_online_prefetch(SimStream& s) {
     const double interval = 1.0 / setup_.config.online_fps;
@@ -187,36 +186,42 @@ class FfsVaSimulation {
 
   void schedule_online_arrival(SimStream& s, double at, double interval) {
     engine_.at(at, [this, &s, at, interval] {
-      if (s.emitted >= setup_.frames_per_stream || at > setup_.duration_sec) {
+      if (s.stats.prefetch.in >= static_cast<std::uint64_t>(setup_.frames_per_stream) ||
+          at > setup_.duration_sec) {
+        s.stats.ingest_done = true;
         s.sdd_q.close();
         return;
       }
-      ++s.emitted;
+      ++s.stats.prefetch.in;
       SimFrame f{engine_.now(), s.outcomes->next()};
       if (s.sdd_q.try_push(f)) {
-        ++s.stats.ingested;
+        ++s.stats.prefetch.passed;
       } else {
         // A live camera cannot block: the frame is lost (overload signal).
-        ++s.stats.dropped;
+        ++s.stats.dropped_at_ingest;
+        ++s.stats.terminated;
       }
       schedule_online_arrival(s, at + interval, interval);
     });
   }
 
   void offline_prefetch_next(SimStream& s) {
-    if (s.emitted >= setup_.frames_per_stream) {
+    if (s.stats.prefetch.in >= static_cast<std::uint64_t>(setup_.frames_per_stream)) {
+      s.stats.ingest_done = true;
       s.sdd_q.close();
       return;
     }
-    ++s.emitted;
     // Decode on a CPU core, then hand the frame to the SDD queue (blocking:
     // the decoder thread stalls while the pipeline is full — feedback).
     cpu_.submit(setup_.costs.decode_us * 1e-6, [this, &s] {
       record_span("decode", telemetry::Stage::kPrefetch, s.id, 0,
                   setup_.costs.decode_us * 1e-6, kLaneCpu);
       SimFrame f{engine_.now(), s.outcomes->next()};
-      ++s.stats.ingested;
-      s.sdd_q.push_wait(f, [this, &s] { offline_prefetch_next(s); });
+      ++s.stats.prefetch.in;
+      s.sdd_q.push_wait(f, [this, &s] {
+        ++s.stats.prefetch.passed;
+        offline_prefetch_next(s);
+      });
     });
   }
 
@@ -227,17 +232,17 @@ class FfsVaSimulation {
         s.snm_q.close();
         return;
       }
-      ++s.stats.sdd_in;
+      ++s.stats.sdd.in;
       const double service =
           (setup_.costs.sdd.resize_us + setup_.costs.sdd.per_frame_us) * 1e-6;
       cpu_.submit(service, [this, &s, service, fr = *f] {
         record_span("sdd.filter", telemetry::Stage::kSdd, s.id, 0, service,
                     kLaneCpu);
         if (fr.outcome == core::FilteredAt::kSdd) {
-          terminal(fr);
+          s.finish(engine_.now(), fr);
           sdd_loop(s);
         } else {
-          ++s.stats.sdd_pass;
+          ++s.stats.sdd.passed;
           s.snm_q.push_wait(fr, [this, &s] { sdd_loop(s); });
         }
       });
@@ -245,20 +250,8 @@ class FfsVaSimulation {
   }
 
   // ---------------------------------------------------------------- SNM --
-  int snm_wait_target() const {
-    switch (setup_.config.batch_policy) {
-      case core::BatchPolicy::kStatic:
-        return setup_.config.batch_size;
-      case core::BatchPolicy::kFeedback:
-        return std::min(setup_.config.batch_size, setup_.config.snm_queue_depth);
-      case core::BatchPolicy::kDynamic:
-        return 1;
-    }
-    return 1;
-  }
-
   void snm_loop(SimStream& s) {
-    s.snm_q.wait_depth(static_cast<std::size_t>(snm_wait_target()),
+    s.snm_q.wait_depth(static_cast<std::size_t>(batcher_.target()),
                        [this, &s](std::size_t avail) {
       const auto decision = batcher_.next_batch(static_cast<int>(avail),
                                                 s.snm_q.closed());
@@ -274,7 +267,6 @@ class FfsVaSimulation {
       }
       auto batch = s.snm_q.pop_some(static_cast<std::size_t>(decision.take));
       snm_batches_ += 1;
-      snm_batched_frames_ += static_cast<std::int64_t>(batch.size());
       const double exec_us =
           setup_.costs.snm.setup_us +
           static_cast<double>(batch.size()) *
@@ -292,12 +284,12 @@ class FfsVaSimulation {
   /// queue one by one (each push may park on the bounded queue — feedback).
   void deliver_snm_outputs(SimStream& s, std::vector<SimFrame> batch, std::size_t i) {
     for (; i < batch.size(); ++i) {
-      ++s.stats.snm_in;
+      ++s.stats.snm.in;
       if (batch[i].outcome == core::FilteredAt::kSnm) {
-        terminal(batch[i]);
+        s.finish(engine_.now(), batch[i]);
         continue;
       }
-      ++s.stats.snm_pass;
+      ++s.stats.snm.passed;
       SimFrame fr = batch[i];
       s.tyolo_q.push_wait(fr, [this, &s, batch = std::move(batch), i]() mutable {
         deliver_snm_outputs(s, std::move(batch), i + 1);
@@ -319,14 +311,6 @@ class FfsVaSimulation {
     const auto pick = scheduler_.next(depths);
     if (pick.stream < 0) {
       if (!any_open && !ref_closed_) {
-        if (std::getenv("FFSVA_SIM_DEBUG")) {
-          std::fprintf(stderr, "[sim %.4f] closing ref_q; snm_done/depths:", engine_.now());
-          for (std::size_t i = 0; i < streams_.size(); ++i) {
-            std::fprintf(stderr, " %d/%d", (int)streams_[i]->snm_done,
-                         (int)streams_[i]->tyolo_q.depth());
-          }
-          std::fprintf(stderr, "\n");
-        }
         ref_closed_ = true;
         ref_q_.close();
       }
@@ -346,20 +330,18 @@ class FfsVaSimulation {
                  [this, &s, exec_us, batch = std::move(batch)]() mutable {
       record_span("tyolo.batch", telemetry::Stage::kTyolo, s.id,
                   static_cast<int>(batch.size()), exec_us * 1e-6, kLaneGpu0);
-      tyolo_served_ += static_cast<std::int64_t>(batch.size());
-      admission_.on_tyolo_served(engine_.now(), static_cast<int>(batch.size()));
       deliver_tyolo_outputs(s, std::move(batch), 0);
     });
   }
 
   void deliver_tyolo_outputs(SimStream& s, std::vector<SimFrame> batch, std::size_t i) {
     for (; i < batch.size(); ++i) {
-      ++s.stats.tyolo_in;
+      ++s.stats.tyolo.in;
       if (batch[i].outcome == core::FilteredAt::kTyolo) {
-        terminal(batch[i]);
+        s.finish(engine_.now(), batch[i]);
         continue;
       }
-      ++s.stats.tyolo_pass;
+      ++s.stats.tyolo.passed;
       std::pair<int, SimFrame> entry{s.id, batch[i]};
       ref_q_.push_wait(entry, [this, &s, batch = std::move(batch), i]() mutable {
         deliver_tyolo_outputs(s, std::move(batch), i + 1);
@@ -375,6 +357,7 @@ class FfsVaSimulation {
     ref_q_.pop_wait([this](std::optional<std::pair<int, SimFrame>> entry) {
       if (!entry) return;
       auto [stream_id, fr] = *entry;
+      ++streams_[static_cast<std::size_t>(stream_id)]->stats.ref.in;
       const double exec_us = setup_.costs.ref.setup_us +
                              setup_.costs.ref.per_frame_us +
                              setup_.costs.ref.resize_us;
@@ -383,50 +366,32 @@ class FfsVaSimulation {
         record_span("ref.detect", telemetry::Stage::kRef, stream_id, 0,
                     exec_us * 1e-6, kLaneGpu1);
         SimStream& s = *streams_[static_cast<std::size_t>(stream_id)];
-        ++s.stats.outputs;
-        const double latency_ms = (engine_.now() - fr.arrival) * 1e3;
-        output_latency_.add(latency_ms);
-        terminal_latency_.add(latency_ms);
-        s.stats.finish_time_sec = engine_.now();
+        ++s.stats.ref.passed;
+        output_latency_.add((engine_.now() - fr.arrival) * 1e3);
+        s.finish(engine_.now(), fr);
+        s.finish_time_sec = engine_.now();
         ref_loop();
       });
     });
-  }
-
-  void terminal(const SimFrame& fr) {
-    terminal_latency_.add((engine_.now() - fr.arrival) * 1e3);
   }
 
   // -------------------------------------------------------------- result --
   SimResult collect() {
     SimResult r;
     r.sim_time_sec = engine_.now();
-    for (auto& s : streams_) {
-      if (s->stats.finish_time_sec == 0.0) s->stats.finish_time_sec = engine_.now();
-      r.streams.push_back(s->stats);
-      r.total_ingested += s->stats.ingested;
-      r.total_dropped += s->stats.dropped;
-      r.total_outputs += s->stats.outputs;
+    r.stats = snapshot();
+    for (std::size_t i = 0; i < streams_.size(); ++i) {
+      r.stats.streams[i].latency_ms = streams_[i]->latency_ms;
+      r.finish_time_sec.push_back(streams_[i]->finish_time_sec);
     }
-    const double arrived =
-        static_cast<double>(r.total_ingested + r.total_dropped);
-    r.drop_rate = arrived > 0 ? static_cast<double>(r.total_dropped) / arrived : 0.0;
-    r.realtime = r.drop_rate <= 0.005;
-    r.throughput_fps = r.sim_time_sec > 0
-                           ? static_cast<double>(r.total_ingested) / r.sim_time_sec
-                           : 0.0;
+    const core::StreamStats agg = summarize(r);
     r.output_latency_ms = output_latency_;
-    r.terminal_latency_ms = terminal_latency_;
     r.gpu0_utilization = gpu0_.utilization();
     r.gpu1_utilization = gpu1_.utilization();
     r.cpu_utilization = cpu_.utilization();
-    r.gpu0_model_switches = gpu0_.switches();
-    r.tyolo_service_fps =
-        r.sim_time_sec > 0 ? static_cast<double>(tyolo_served_) / r.sim_time_sec : 0.0;
-    r.mean_snm_batch = snm_batches_ > 0
-                           ? static_cast<double>(snm_batched_frames_) /
-                                 static_cast<double>(snm_batches_)
-                           : 0.0;
+    r.mean_snm_batch = snm_batches_ > 0 ? static_cast<double>(agg.snm.in) /
+                                             static_cast<double>(snm_batches_)
+                                       : 0.0;
     return r;
   }
 
@@ -438,18 +403,12 @@ class FfsVaSimulation {
   SimQueue<std::pair<int, SimFrame>> ref_q_;
   core::TYoloScheduler scheduler_;
   core::DynamicBatcher batcher_;
-  core::AdmissionController admission_;
   std::vector<std::unique_ptr<SimStream>> streams_;
   bool tyolo_busy_ = false;
   bool ref_closed_ = false;
-  std::int64_t tyolo_served_ = 0;
-  std::int64_t snm_batches_ = 0;
-  std::int64_t snm_batched_frames_ = 0;
+  std::uint64_t snm_batches_ = 0;
   runtime::Histogram output_latency_;
-  runtime::Histogram terminal_latency_;
-  telemetry::MetricsSnapshot metrics_prev_;
-  double last_metrics_t_ = 0.0;
-  bool have_metrics_prev_ = false;
+  telemetry::MetricsSeries metrics_rows_;
 };
 
 }  // namespace
@@ -465,23 +424,36 @@ SimResult simulate_baseline(const SimSetup& setup) {
   // YOLOv2 on both GPUs, one shared frame queue (Section 2.3: a dual-GPU
   // server analyzes up to four concurrent streams with YOLOv2).
   KServerResource gpus(engine, 2, "gpus");
-  SimQueue<SimFrame> q(8);
+  SimQueue<std::pair<int, SimFrame>> q(8);
   SimResult result;
-  result.streams.resize(static_cast<std::size_t>(setup.num_streams));
+  const auto n = static_cast<std::size_t>(setup.num_streams);
+  std::vector<core::StreamStats>& rows = result.stats.streams;
+  rows.resize(n);
+  for (std::size_t i = 0; i < n; ++i) rows[i].id = static_cast<int>(i);
+  const auto row = [&rows](int i) -> core::StreamStats& {
+    return rows[static_cast<std::size_t>(i)];
+  };
+  result.finish_time_sec.assign(n, 0.0);
+  const auto frames = static_cast<std::uint64_t>(setup.frames_per_stream);
 
   runtime::Histogram latency;
-  std::int64_t outputs = 0;
   const double per_frame_sec = (setup.costs.ref.setup_us +
                                 setup.costs.ref.per_frame_us +
                                 setup.costs.ref.resize_us) * 1e-6;
 
   // Consumer: both GPU servers drain the shared queue.
   std::function<void()> consume = [&] {
-    q.pop_wait([&](std::optional<SimFrame> f) {
-      if (!f) return;
-      gpus.submit(per_frame_sec, [&, fr = *f] {
-        ++outputs;
-        latency.add((engine.now() - fr.arrival) * 1e3);
+    q.pop_wait([&](std::optional<std::pair<int, SimFrame>> e) {
+      if (!e) return;
+      ++row(e->first).ref.in;
+      gpus.submit(per_frame_sec, [&, e = *e] {
+        core::StreamStats& ss = row(e.first);
+        const double ms = (engine.now() - e.second.arrival) * 1e3;
+        ++ss.ref.passed;
+        ++ss.terminated;
+        ss.latency_ms.add(ms);
+        latency.add(ms);
+        result.finish_time_sec[static_cast<std::size_t>(e.first)] = engine.now();
         consume();
       });
     });
@@ -490,71 +462,63 @@ SimResult simulate_baseline(const SimSetup& setup) {
   consume();  // two logical consumers, one per GPU
 
   int open_streams = setup.num_streams;
+  const auto end_ingest = [&](core::StreamStats& ss) {
+    ss.ingest_done = true;
+    if (--open_streams == 0) q.close();
+  };
+  // Each stream's producer reschedules itself through these vectors, which
+  // outlive engine.run() (a producer owning itself would never be freed).
+  std::vector<std::function<void(double)>> arrive(n);
+  std::vector<std::function<void()>> produce(n);
   for (int i = 0; i < setup.num_streams; ++i) {
+    const auto ui = static_cast<std::size_t>(i);
     if (setup.online) {
       const double interval = 1.0 / setup.config.online_fps;
       const double phase = interval * (static_cast<double>(i) /
                                        std::max(1, setup.num_streams));
-      std::shared_ptr<std::function<void(double)>> arrive =
-          std::make_shared<std::function<void(double)>>();
-      *arrive = [&, i, interval, arrive](double at) {
-        engine.at(at, [&, i, interval, at, arrive] {
-          auto& ss = result.streams[static_cast<std::size_t>(i)];
-          if (ss.ingested + ss.dropped >= setup.frames_per_stream ||
-              at > setup.duration_sec) {
-            if (--open_streams == 0) q.close();
+      arrive[ui] = [&, i, ui, interval](double at) {
+        engine.at(at, [&, i, ui, interval, at] {
+          core::StreamStats& ss = row(i);
+          if (ss.prefetch.in >= frames || at > setup.duration_sec) {
+            end_ingest(ss);
             return;
           }
-          SimFrame f{engine.now(), core::FilteredAt::kNone};
-          if (q.try_push(f)) {
-            ++ss.ingested;
+          ++ss.prefetch.in;
+          if (q.try_push({i, SimFrame{engine.now(), core::FilteredAt::kNone}})) {
+            ++ss.prefetch.passed;
           } else {
-            ++ss.dropped;
+            ++ss.dropped_at_ingest;
+            ++ss.terminated;
           }
-          (*arrive)(at + interval);
+          arrive[ui](at + interval);
         });
       };
-      (*arrive)(phase);
+      arrive[ui](phase);
     } else {
       // Offline: decode then push (blocking), per stream.
-      std::shared_ptr<std::function<void()>> produce =
-          std::make_shared<std::function<void()>>();
-      *produce = [&, i, produce] {
-        auto& ss = result.streams[static_cast<std::size_t>(i)];
-        if (ss.ingested >= setup.frames_per_stream) {
-          if (--open_streams == 0) q.close();
+      produce[ui] = [&, i, ui] {
+        if (row(i).prefetch.in >= frames) {
+          end_ingest(row(i));
           return;
         }
-        cpu.submit(setup.costs.decode_us * 1e-6, [&, i, produce] {
-          auto& ss2 = result.streams[static_cast<std::size_t>(i)];
-          SimFrame f{engine.now(), core::FilteredAt::kNone};
-          ++ss2.ingested;
-          q.push_wait(f, [produce] { (*produce)(); });
+        cpu.submit(setup.costs.decode_us * 1e-6, [&, i, ui] {
+          ++row(i).prefetch.in;
+          q.push_wait({i, SimFrame{engine.now(), core::FilteredAt::kNone}},
+                      [&, i, ui] {
+                        ++row(i).prefetch.passed;
+                        produce[ui]();
+                      });
         });
       };
-      (*produce)();
+      produce[ui]();
     }
   }
 
   engine.run();
 
   result.sim_time_sec = engine.now();
-  for (auto& s : result.streams) {
-    result.total_ingested += s.ingested;
-    result.total_dropped += s.dropped;
-    s.outputs = 0;  // per-stream split not tracked in the baseline
-  }
-  result.total_outputs = outputs;
-  const double arrived = static_cast<double>(result.total_ingested + result.total_dropped);
-  result.drop_rate =
-      arrived > 0 ? static_cast<double>(result.total_dropped) / arrived : 0.0;
-  result.realtime = result.drop_rate <= 0.005;
-  result.throughput_fps = result.sim_time_sec > 0
-                              ? static_cast<double>(result.total_ingested) /
-                                    result.sim_time_sec
-                              : 0.0;
+  summarize(result);
   result.output_latency_ms = latency;
-  result.terminal_latency_ms = latency;
   result.gpu1_utilization = gpus.utilization();
   result.cpu_utilization = cpu.utilization();
   return result;

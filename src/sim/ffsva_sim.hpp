@@ -4,9 +4,11 @@
 // (GPU0, batched, per-stream weights), global T-YOLO (GPU0, round-robin,
 // per-stream cap), reference model (GPU1) — executed under virtual time
 // with the calibrated cost models of detect/cost_model.hpp. The policy
-// objects (DynamicBatcher, TYoloScheduler, FeedbackController semantics via
-// bounded SimQueues, AdmissionController) are the production classes from
-// core/policies.hpp.
+// objects (DynamicBatcher, TYoloScheduler) are the production classes from
+// core/policies.hpp; the feedback throttle is a blocking push on a bounded
+// SimQueue, as it is on the engine's bounded queues. Frames are counted into
+// the engine's record (core::InstanceStats) and exported through the
+// engine's stats_metrics(), so both write one metrics schema.
 //
 // Per-frame filter outcomes come from an OutcomeSource: either a replayed
 // real trace or a calibrated Markov generator (sim/outcome.hpp).
@@ -18,6 +20,7 @@
 #include <string>
 
 #include "core/config.hpp"
+#include "core/pipeline.hpp"
 #include "detect/cost_model.hpp"
 #include "runtime/stats.hpp"
 #include "sim/outcome.hpp"
@@ -54,31 +57,26 @@ struct SimSetup {
   /// timestamps (lanes: tid 1 = GPU0, 2 = GPU1, 3 = CPU pool). The caller
   /// owns the buffer and must enable() it; export with write_chrome_trace.
   telemetry::TraceBuffer* trace = nullptr;
-  /// When set, one metrics JSONL row (same schema as the engine's live
-  /// exporter) is appended per metrics_interval_ms of *virtual* time, plus
-  /// a final row when the run drains.
+  /// When set, one metrics JSONL row (the engine exporter's schema: its
+  /// stats_metrics() plus the `executor.snm_batches` counter) is appended
+  /// per metrics_interval_ms of *virtual* time, plus a final row when the
+  /// run drains.
   std::ostream* metrics_sink = nullptr;
   int metrics_interval_ms = 100;
   std::string metrics_label;
 };
 
-struct SimStreamStats {
-  std::int64_t ingested = 0;
-  std::int64_t dropped = 0;
-  std::int64_t sdd_in = 0, sdd_pass = 0;
-  std::int64_t snm_in = 0, snm_pass = 0;
-  std::int64_t tyolo_in = 0, tyolo_pass = 0;
-  std::int64_t outputs = 0;
-  double finish_time_sec = 0.0;  ///< When the stream's last frame terminated.
-};
-
 struct SimResult {
-  std::vector<SimStreamStats> streams;
+  /// The engine's record, counted where FfsVaInstance counts: prefetch.in
+  /// = frames arrived (online) or decoded (offline), prefetch.passed =
+  /// frames queued, dropped_at_ingest = live frames lost, ref.passed =
+  /// outputs, latency_ms = arrival to filtered or output. The baseline has
+  /// no filters, so only prefetch and ref count there.
+  core::InstanceStats stats;
+  /// Virtual time of each stream's last output (the run's end for a stream
+  /// without one), indexed like stats.streams.
+  std::vector<double> finish_time_sec;
   double sim_time_sec = 0.0;
-
-  std::int64_t total_ingested = 0;
-  std::int64_t total_dropped = 0;
-  std::int64_t total_outputs = 0;
 
   /// Frames fully processed per second of virtual time (offline throughput).
   double throughput_fps = 0.0;
@@ -87,15 +85,13 @@ struct SimResult {
   /// A stream is "supported in real time" when (almost) nothing is dropped.
   bool realtime = false;
 
-  runtime::Histogram output_latency_ms;    ///< Arrival -> reference output.
-  runtime::Histogram terminal_latency_ms;  ///< Arrival -> filtered or output.
+  runtime::Histogram output_latency_ms;  ///< Arrival -> reference output.
 
   double gpu0_utilization = 0.0;
   double gpu1_utilization = 0.0;
   double cpu_utilization = 0.0;
-  double tyolo_service_fps = 0.0;   ///< Mean frames/sec through T-YOLO.
-  std::int64_t gpu0_model_switches = 0;
-  double mean_snm_batch = 0.0;      ///< Realized average SNM batch size.
+  double tyolo_service_fps = 0.0;  ///< Mean frames/sec through T-YOLO.
+  double mean_snm_batch = 0.0;     ///< Realized average SNM batch size.
 };
 
 /// Simulate one FFS-VA instance.

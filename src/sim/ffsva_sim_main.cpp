@@ -5,8 +5,8 @@
 //             --metrics-out metrics.jsonl --metrics-interval-ms 100
 //             --trace-out trace.json
 //
-// --metrics-out appends one JSONL row per (virtual) interval — the same
-// schema the threaded engine's exporter writes. --trace-out writes a
+// --metrics-out appends one JSONL row per (virtual) interval in the schema
+// the threaded engine's exporter writes (core::stats_metrics). --trace-out writes a
 // chrome://tracing / Perfetto-loadable JSON timeline of the simulated
 // stages (lanes: GPU0, GPU1, CPU pool). A one-line result summary goes to
 // stdout as JSON.
@@ -162,6 +162,7 @@ int main(int argc, char** argv) {
 
   const sim::SimResult r =
       baseline ? sim::simulate_baseline(setup) : sim::simulate_ffsva(setup);
+  const core::StreamStats total = r.stats.aggregate();
 
   if (!trace_out.empty()) {
     trace_buf.disable();
@@ -179,9 +180,9 @@ int main(int argc, char** argv) {
       "\"gpu0_util\":%.3f,\"gpu1_util\":%.3f,\"cpu_util\":%.3f,"
       "\"output_latency_p50_ms\":%.2f,\"output_latency_p99_ms\":%.2f}\n",
       setup.num_streams, setup.online ? "true" : "false", r.sim_time_sec,
-      static_cast<long long>(r.total_ingested),
-      static_cast<long long>(r.total_dropped),
-      static_cast<long long>(r.total_outputs), r.throughput_fps, r.drop_rate,
+      static_cast<long long>(total.prefetch.passed),
+      static_cast<long long>(total.dropped_at_ingest),
+      static_cast<long long>(total.ref.passed), r.throughput_fps, r.drop_rate,
       r.realtime ? "true" : "false", r.tyolo_service_fps, r.mean_snm_batch,
       r.gpu0_utilization, r.gpu1_utilization, r.cpu_utilization,
       r.output_latency_ms.p50(), r.output_latency_ms.p99());

@@ -115,6 +115,19 @@ std::string metrics_jsonl_row(const MetricsSnapshot& cur,
   return out;
 }
 
+bool MetricsSeries::append(std::ostream& sink, MetricsSnapshot cur, double t_sec,
+                           const std::string& label, int node_id) {
+  const double dt = t_sec - prev_t_sec_;
+  if (have_prev_ && dt <= 0.0) return false;
+  sink << metrics_jsonl_row(cur, have_prev_ ? &prev_ : nullptr, t_sec, dt, label,
+                            node_id)
+       << '\n';
+  prev_ = std::move(cur);
+  prev_t_sec_ = t_sec;
+  have_prev_ = true;
+  return true;
+}
+
 bool MetricsExporter::start_file(const std::string& path, int interval_ms,
                                  std::string label) {
   stop();
@@ -139,8 +152,7 @@ void MetricsExporter::start(int interval_ms, std::string label) {
     stopping_ = false;
   }
   samples_ = 0;
-  have_prev_ = false;
-  prev_t_sec_ = 0.0;
+  series_ = MetricsSeries{};
   t0_ = std::chrono::steady_clock::now();
   // thread-ok: the sampler thread; stop() joins it before the sink closes.
   thread_ = std::thread([this, interval_ms] { loop(std::max(1, interval_ms)); });
@@ -168,15 +180,9 @@ void MetricsExporter::sample_once() {
   const double t_sec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
           .count();
-  MetricsSnapshot cur = sampler_();
-  const double dt = t_sec - (have_prev_ ? prev_t_sec_ : 0.0);
-  *sink_ << metrics_jsonl_row(cur, have_prev_ ? &prev_ : nullptr, t_sec, dt,
-                              label_, node_id_)
-         << '\n';
-  prev_ = std::move(cur);
-  prev_t_sec_ = t_sec;
-  have_prev_ = true;
-  samples_.fetch_add(1, std::memory_order_relaxed);
+  if (series_.append(*sink_, sampler_(), t_sec, label_, node_id_)) {
+    samples_.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 void MetricsExporter::stop() {

@@ -46,6 +46,22 @@ std::string metrics_jsonl_row(const MetricsSnapshot& cur,
                               double dt_sec, const std::string& label,
                               int node_id = -1);
 
+/// One run's JSONL rows, each with rates over the interval since the
+/// previous row (since 0 for the first): the one row path of the exporter
+/// below and of the simulator, which samples on its virtual clock.
+class MetricsSeries {
+ public:
+  /// Append the row for `cur`, sampled at `t_sec`, to `sink`; a sample at
+  /// the previous row's time writes nothing and returns false.
+  bool append(std::ostream& sink, MetricsSnapshot cur, double t_sec,
+              const std::string& label, int node_id = -1);
+
+ private:
+  bool have_prev_ = false;
+  MetricsSnapshot prev_;
+  double prev_t_sec_ = 0.0;
+};
+
 class MetricsExporter {
  public:
   /// `sampler` runs on the sampler thread (and once more in stop()), so it
@@ -96,9 +112,7 @@ class MetricsExporter {
   runtime::CondVar cv_;
   bool stopping_ FFSVA_GUARDED_BY(mu_) = false;
   std::atomic<std::uint64_t> samples_{0};
-  bool have_prev_ = false;
-  MetricsSnapshot prev_;
-  double prev_t_sec_ = 0.0;
+  MetricsSeries series_;
   std::chrono::steady_clock::time_point t0_;
 };
 

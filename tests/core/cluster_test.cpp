@@ -14,11 +14,40 @@ FfsVaConfig cfg() {
   return c;
 }
 
-/// Feed `fps` worth of service reports over [t0, t1] at 10 Hz.
-void feed(ClusterManager& cm, int id, double t0, double t1, double fps) {
-  for (double t = t0; t <= t1; t += 0.1) {
-    cm.report_tyolo_service(id, t, static_cast<int>(fps * 0.1));
+/// A snapshot with `streams` streams, each having served `tyolo_in` frames,
+/// with every queue at `queue_depth`.
+InstanceStats snap_of(int streams, std::uint64_t tyolo_in,
+                      std::size_t queue_depth = 0, int quarantined = 0) {
+  InstanceStats snap;
+  for (int i = 0; i < streams; ++i) {
+    StreamStats s;
+    s.id = i;
+    s.tyolo.in = tyolo_in;
+    s.snm_queue_depth = queue_depth;
+    s.tyolo_queue_depth = queue_depth;
+    snap.streams.push_back(s);
   }
+  snap.health.quarantined_streams = quarantined;
+  snap.health.healthy_streams = streams - quarantined;
+  return snap;
+}
+
+/// Feed `fps` worth of T-YOLO service over [t0, t1] as 10 Hz snapshots of
+/// one stream's cumulative served counter, as sim/placement.cpp reports.
+void feed(ClusterManager& cm, int id, double t0, double t1, double fps) {
+  std::uint64_t served = 0;
+  for (double t = t0; t <= t1; t += 0.1) {
+    served += static_cast<std::uint64_t>(fps * 0.1);
+    cm.report_snapshot(id, t, snap_of(1, served));
+  }
+}
+
+/// A snapshot whose T-YOLO queue sits at its threshold: the overload
+/// signal. Its served counter restarts, which only re-baselines the rate.
+void report_overload(ClusterManager& cm, int id, double t) {
+  const FfsVaConfig c = cfg();
+  cm.report_snapshot(id, t, snap_of(1, 0, static_cast<std::size_t>(
+                                              c.capacity(c.tyolo_queue_depth))));
 }
 
 TEST(ClusterManager, RejectsEmptyCluster) {
@@ -72,7 +101,7 @@ TEST(ClusterManager, ReforwardMovesFromOverloadedToSpare) {
   cm.attach_stream(11, 0);
   feed(cm, 0, 0.0, 6.0, 200.0);
   feed(cm, 1, 0.0, 6.0, 10.0);
-  cm.report_queue_over_threshold(0, 6.0);  // overload signal
+  report_overload(cm, 0, 6.0);  // overload signal
   const auto d = cm.next_reforward(6.0);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->from_instance, 0);
@@ -96,7 +125,7 @@ TEST(ClusterManager, NoReforwardWithoutSpareTarget) {
   cm.attach_stream(2, 1);
   feed(cm, 0, 0.0, 6.0, 200.0);
   feed(cm, 1, 0.0, 6.0, 200.0);
-  cm.report_queue_over_threshold(0, 6.0);
+  report_overload(cm, 0, 6.0);
   EXPECT_FALSE(cm.next_reforward(6.0).has_value());
 }
 
@@ -105,31 +134,13 @@ TEST(ClusterManager, OverloadSignalDecaysAndReforwardStops) {
   cm.attach_stream(1, 0);
   feed(cm, 0, 0.0, 6.0, 200.0);
   feed(cm, 1, 0.0, 12.0, 10.0);
-  cm.report_queue_over_threshold(0, 6.0);
+  report_overload(cm, 0, 6.0);
   EXPECT_TRUE(cm.instance_overloaded(0, 6.5));
   EXPECT_FALSE(cm.instance_overloaded(0, 8.0));  // decayed
   EXPECT_FALSE(cm.next_reforward(8.0).has_value());
 }
 
-// --- report_snapshot: the live-engine reporting path ----------------------
-
-/// A snapshot with `streams` streams, each having served `tyolo_in` frames,
-/// with every queue at `queue_depth`.
-InstanceStats snap_of(int streams, std::uint64_t tyolo_in,
-                         std::size_t queue_depth = 0, int quarantined = 0) {
-  InstanceStats snap;
-  for (int i = 0; i < streams; ++i) {
-    StreamStats s;
-    s.id = i;
-    s.tyolo.in = tyolo_in;
-    s.snm_queue_depth = queue_depth;
-    s.tyolo_queue_depth = queue_depth;
-    snap.streams.push_back(s);
-  }
-  snap.health.quarantined_streams = quarantined;
-  snap.health.healthy_streams = streams - quarantined;
-  return snap;
-}
+// --- report_snapshot: live-engine rows -----------------------------------
 
 /// Feed idle (zero-delta) snapshots over [t0, t1] at 10 Hz so the instance
 /// ages into demonstrated spare capacity.
@@ -261,7 +272,7 @@ TEST(ClusterManager, RepeatedReforwardDrainsOverloadedInstance) {
   for (int s = 0; s < 4; ++s) cm.attach_stream(s, 0);
   feed(cm, 0, 0.0, 6.0, 200.0);
   feed(cm, 1, 0.0, 6.0, 10.0);
-  cm.report_queue_over_threshold(0, 6.0);
+  report_overload(cm, 0, 6.0);
   int moves = 0;
   while (cm.next_reforward(6.0 + 0.01 * moves).has_value()) {
     ++moves;

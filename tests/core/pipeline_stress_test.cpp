@@ -128,6 +128,8 @@ TEST(PipelineStress, ManyStreamsConserveOrderAndShutDownCleanly) {
 
 // The worker pool must stay fixed-size: a run with a single SDD worker and
 // many streams still conserves every frame (no starvation, no deadlock).
+// Offline SDD queues are 2 deep, so the worker rescans across streams every
+// couple of frames.
 TEST(PipelineStress, SingleWorkerServesManyStreams) {
   auto& w = world();
   constexpr int kStreams = 12;
@@ -135,7 +137,6 @@ TEST(PipelineStress, SingleWorkerServesManyStreams) {
 
   FfsVaConfig cfg;
   cfg.sdd_workers = 1;
-  cfg.sdd_run_length = 4;  // force frequent rescans across streams
   FfsVaInstance instance(cfg);
   for (int s = 0; s < kStreams; ++s) {
     instance.add_stream(std::make_unique<ReplaySource>(&w.window, s), w.models);

@@ -162,10 +162,11 @@ TEST(Protocol, SnapshotRoundTripsEveryField) {
       c->in = v();
       c->passed = v();
     }
-    for (auto* f : {&s.dropped_at_ingest, &s.terminated, &s.ingest.decode_full,
-                    &s.fault.decode_errors, &s.fault.retries, &s.fault.restarts,
-                    &s.fault.degraded_frames, &s.fault.discarded_frames,
-                    &s.fault.cancelled_calls, &s.fault.poisoned_frames}) {
+    s.ingest.decode_full = s.prefetch.in;  // derived, not sent
+    for (auto* f : {&s.dropped_at_ingest, &s.terminated, &s.fault.decode_errors,
+                    &s.fault.retries, &s.fault.restarts, &s.fault.degraded_frames,
+                    &s.fault.discarded_frames, &s.fault.cancelled_calls,
+                    &s.fault.poisoned_frames}) {
       *f = v();
     }
     for (auto* d : {&s.sdd_queue_depth, &s.snm_queue_depth, &s.tyolo_queue_depth}) {

@@ -135,7 +135,7 @@ TEST(BoundedQueue, PopBatchTakesUpToMax) {
   EXPECT_EQ(q.depth(), 2u);
 }
 
-TEST(BoundedQueue, PopBatchDrainsWhenFewerAvailable) {
+TEST(BoundedQueue, PopBatchTakesWhatIsAvailable) {
   BoundedQueue<int> q(8);
   q.push(42);
   const auto batch = q.pop_batch(10);

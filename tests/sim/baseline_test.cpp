@@ -21,10 +21,17 @@ SimSetup setup(int streams, bool online, std::int64_t frames = 2000) {
 
 TEST(BaselineSim, OfflineProcessesEveryFrame) {
   const auto r = simulate_baseline(setup(3, false, 1000));
-  EXPECT_EQ(r.total_ingested, 3000);
-  EXPECT_EQ(r.total_outputs, 3000);
-  EXPECT_EQ(r.total_dropped, 0);
-  EXPECT_EQ(static_cast<std::int64_t>(r.output_latency_ms.count()), 3000);
+  const auto total = r.stats.aggregate();
+  EXPECT_EQ(total.prefetch.passed, 3000u);
+  EXPECT_EQ(total.ref.passed, 3000u);
+  EXPECT_EQ(total.dropped_at_ingest, 0u);
+  EXPECT_EQ(r.output_latency_ms.count(), 3000u);
+  for (const auto& s : r.stats.streams) {
+    // No filters: every decoded frame reaches the reference model.
+    EXPECT_EQ(s.ref.in, s.prefetch.passed);
+    EXPECT_EQ(s.terminated, s.prefetch.in);
+    EXPECT_EQ(s.sdd.in, 0u);
+  }
 }
 
 TEST(BaselineSim, ThroughputIndependentOfTor) {

@@ -1,7 +1,8 @@
 // Property sweep: frame conservation holds in the simulator for every
 // combination of batch policy, stream count, TOR and mode. Every ingested
 // frame must terminate exactly once (filtered or output), and the stage
-// counters must chain (the queueing network neither loses nor duplicates).
+// counters of the engine's record must chain (the queueing network neither
+// loses nor duplicates).
 #include <gtest/gtest.h>
 
 #include "sim/ffsva_sim.hpp"
@@ -32,19 +33,22 @@ TEST_P(ConservationSweep, EveryFrameTerminatesExactlyOnce) {
   };
   const SimResult r = simulate_ffsva(s);
 
-  std::int64_t ingested = 0;
-  for (const auto& st : r.streams) {
-    EXPECT_EQ(st.sdd_in, st.ingested);
-    EXPECT_EQ(st.snm_in, st.sdd_pass);
-    EXPECT_EQ(st.tyolo_in, st.snm_pass);
-    EXPECT_EQ(st.outputs, st.tyolo_pass);
-    ingested += st.ingested;
+  for (const auto& st : r.stats.streams) {
+    EXPECT_EQ(st.sdd.in, st.prefetch.passed);
+    EXPECT_EQ(st.snm.in, st.sdd.passed);
+    EXPECT_EQ(st.tyolo.in, st.snm.passed);
+    EXPECT_EQ(st.ref.in, st.tyolo.passed);
+    // Queued frames end filtered or output, lost ones at ingest: the
+    // engine's quiescence predicate terminated == prefetch.in.
+    EXPECT_EQ(st.terminated, st.prefetch.passed + st.dropped_at_ingest);
+    EXPECT_EQ(st.prefetch.in, st.prefetch.passed + st.dropped_at_ingest);
+    EXPECT_EQ(st.latency_ms.count(), st.prefetch.passed);
   }
-  EXPECT_EQ(static_cast<std::int64_t>(r.terminal_latency_ms.count()), ingested);
-  EXPECT_EQ(static_cast<std::int64_t>(r.output_latency_ms.count()), r.total_outputs);
+  const auto total = r.stats.aggregate();
+  EXPECT_EQ(r.output_latency_ms.count(), total.ref.passed);
   if (!c.online) {
-    EXPECT_EQ(r.total_dropped, 0) << "offline mode must never drop";
-    EXPECT_EQ(ingested, static_cast<std::int64_t>(c.streams) * 1200);
+    EXPECT_EQ(total.dropped_at_ingest, 0u) << "offline mode must never drop";
+    EXPECT_EQ(total.prefetch.passed, static_cast<std::uint64_t>(c.streams) * 1200u);
   }
 }
 

@@ -1,6 +1,7 @@
 // Metrics export: JSONL row serialization (values, rates, gauges, histogram
-// summaries, counter-regression handling, label escaping) and the sampler
-// thread (periodic rows, final sample on stop, file append mode).
+// summaries, counter-regression handling, label escaping), the row series
+// both samplers share, and the sampler thread (periodic rows, final sample
+// on stop, file append mode).
 #include "telemetry/export.hpp"
 
 #include <gtest/gtest.h>
@@ -82,6 +83,20 @@ TEST(JsonlRow, HistogramSummaryAndNonFiniteGauges) {
   EXPECT_NE(row.find("\"max\":100"), std::string::npos);
   // JSON forbids nan/inf: mapped to 0.
   EXPECT_NE(row.find("\"bad\":0"), std::string::npos) << row;
+}
+
+TEST(MetricsSeries, RatesSpanTheIntervalSinceThePreviousRow) {
+  std::ostringstream out;
+  MetricsSeries series;
+  EXPECT_TRUE(series.append(out, snap_with(100, 50, 0.0), 1.0, ""));
+  // A sample at the previous row's time covers no interval: no row.
+  EXPECT_FALSE(series.append(out, snap_with(120, 60, 0.0), 1.0, ""));
+  EXPECT_TRUE(series.append(out, snap_with(400, 250, 0.0), 3.0, ""));
+  EXPECT_EQ(count_lines(out.str()), 2);
+  // (400 - 100) / 2 s and (250 - 50) / 2 s.
+  EXPECT_NE(out.str().find("\"rates\":{\"stage.in\":150,\"stage.passed\":100}"),
+            std::string::npos)
+      << out.str();
 }
 
 TEST(JsonlRow, LabelIsEscapedIntoValidJson) {

@@ -1,6 +1,7 @@
 // Telemetry against the real threaded engine: the chrome-trace exporter and
 // JSONL metrics stream produced by an actual run (its schema pinned key by
-// key), snapshot() and metrics_snapshot() polled safely while streams are in
+// key, and shared with the simulator's rows), snapshot() and
+// metrics_snapshot() polled safely while streams are in
 // flight (this binary carries the tsan label), and ClusterManager
 // re-forwarding driven solely by live FfsVaInstance snapshots — the paper's
 // Section 4.3.1 control loop closed end to end.
@@ -10,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -19,6 +21,7 @@
 #include "core/cluster.hpp"
 #include "core/pipeline.hpp"
 #include "json_reader.hpp"
+#include "sim/ffsva_sim.hpp"
 #include "video/profiles.hpp"
 
 namespace ffsva::core {
@@ -74,30 +77,59 @@ class ReplaySource final : public video::FrameSource {
   std::size_t next_ = 0;
 };
 
+/// One offline run of four replayed streams with tracing and the metrics
+/// exporter on, made once and shared by the tests that read its output.
+struct ExportedRun {
+  InstanceStats stats;
+  std::string trace;  ///< chrome://tracing JSON ("" if it was not written).
+  std::string rows;   ///< Metrics JSONL, labelled "itest".
+};
+
+const ExportedRun& exported_run() {
+  static const ExportedRun* run = [] {
+    auto& w = world();
+    FfsVaConfig cfg;
+    cfg.metrics_interval_ms = 20;
+    FfsVaInstance instance(cfg);
+    for (int s = 0; s < 4; ++s) {
+      instance.add_stream(std::make_unique<ReplaySource>(&w.window, s), w.models);
+    }
+    instance.set_output_sink([](const OutputEvent&) {});
+    std::ostringstream metrics;
+    instance.enable_metrics_export(&metrics, "itest");
+    instance.enable_tracing();
+    auto* r = new ExportedRun();
+    r->stats = instance.run(/*online=*/false);
+    r->rows = metrics.str();
+    const std::string trace_path =
+        ::testing::TempDir() + "/ffsva_itest_trace.json";
+    if (instance.export_trace(trace_path)) {
+      std::ifstream in(trace_path);
+      r->trace.assign(std::istreambuf_iterator<char>(in),
+                      std::istreambuf_iterator<char>());
+      std::remove(trace_path.c_str());
+    }
+    return r;
+  }();
+  return *run;
+}
+
+/// The last row of a metrics JSONL stream, parsed.
+std::optional<telemetry::testing::ParsedJson> final_row(const std::string& rows) {
+  std::string last;
+  std::istringstream lines(rows);
+  for (std::string line; std::getline(lines, line);) last = line;
+  return telemetry::testing::parse_json(last);
+}
+
 TEST(PipelineTelemetry, RealRunExportsTraceAndMetrics) {
-  auto& w = world();
-  FfsVaConfig cfg;
-  cfg.metrics_interval_ms = 20;
-  FfsVaInstance instance(cfg);
-  for (int s = 0; s < 4; ++s) {
-    instance.add_stream(std::make_unique<ReplaySource>(&w.window, s), w.models);
-  }
-  instance.set_output_sink([](const OutputEvent&) {});
-  std::ostringstream metrics;
-  instance.enable_metrics_export(&metrics, "itest");
-  instance.enable_tracing();
-  const auto stats = instance.run(/*online=*/false);
+  const ExportedRun& run = exported_run();
+  const InstanceStats& stats = run.stats;
 
   // Trace: spans for all four stages (the prefetch decode, the SDD filter,
   // the executor's SNM and T-YOLO batches) plus the reference stage.
-  const std::string trace_path =
-      ::testing::TempDir() + "/ffsva_itest_trace.json";
-  ASSERT_TRUE(instance.export_trace(trace_path));
-  std::ifstream in(trace_path);
-  ASSERT_TRUE(in.good());
-  std::string trace((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  std::remove(trace_path.c_str());
+  const std::string& trace = run.trace;
+  ASSERT_FALSE(trace.empty());
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   for (const char* cat : {"prefetch", "sdd", "snm", "tyolo", "ref"}) {
     EXPECT_NE(trace.find("\"cat\":\"" + std::string(cat) + "\""),
@@ -111,7 +143,7 @@ TEST(PipelineTelemetry, RealRunExportsTraceAndMetrics) {
 
   // Metrics JSONL: at least the final stop() sample, carrying stage
   // counters, per-stage rates, queue-depth gauges, and supervision gauges.
-  const std::string rows = metrics.str();
+  const std::string& rows = run.rows;
   ASSERT_FALSE(rows.empty());
   for (const char* key :
        {"\"sdd.in\"", "\"snm.in\"", "\"tyolo.in\"", "\"ref.passed\"",
@@ -125,24 +157,21 @@ TEST(PipelineTelemetry, RealRunExportsTraceAndMetrics) {
   // The final row (stop()'s sample, taken after every stage joined) carries
   // the exported schema exactly, each key in its section, and its stage
   // counters and fault/prefetch gauges equal the run's frozen stats.
-  std::string last;
-  std::istringstream lines(rows);
-  for (std::string line; std::getline(lines, line);) last = line;
-  const auto row = telemetry::testing::parse_json(last);
-  ASSERT_TRUE(row.has_value()) << last;
+  const auto row = final_row(rows);
+  ASSERT_TRUE(row.has_value()) << rows;
   const std::set<std::string> counters = {
       "drop.ref", "drop.sdd", "drop.snm", "drop.tyolo", "executor.ref_batches",
       "executor.snm_batches", "executor.tyolo_picks", "ref.full_frame_fallbacks",
       "ref.in", "ref.passed", "ref.seam_suppressed", "sdd.in", "sdd.passed",
       "snm.in", "snm.passed", "tyolo.in", "tyolo.passed"};
   const std::set<std::string> gauges = {
-      "decode.full", "drop.ingest", "fault.cancelled_calls", "fault.decode_errors",
+      "drop.ingest", "fault.cancelled_calls", "fault.decode_errors",
       "fault.degraded_frames", "fault.discarded_frames", "fault.poisoned_frames",
       "fault.restarts", "fault.retries", "latency.decode_p50_ms",
       "latency.decode_p99_ms", "prefetch.in", "prefetch.passed", "queue.ref",
       "queue.sdd", "queue.snm", "queue.tyolo", "streams.quarantined",
       "supervise.stall_ticks", "supervision.cancels", "supervision.stage_restarts"};
-  ASSERT_EQ(gauges.size(), 21u);
+  ASSERT_EQ(gauges.size(), 20u);
   const std::set<std::string> hists = {
       "executor.batch_size", "executor.ref_batch_size", "executor.tyolo_take",
       "latency.drop_ms", "latency.output_ms", "latency.recovery_ms",
@@ -180,6 +209,41 @@ TEST(PipelineTelemetry, RealRunExportsTraceAndMetrics) {
       {"fault.poisoned_frames", agg.fault.poisoned_frames}};
   for (const auto& [name, v] : totals) {
     EXPECT_EQ(num(std::string("gauges/") + name), static_cast<double>(v)) << name;
+  }
+}
+
+// One schema: the simulator's rows are the engine exporter's rows. Every
+// key a simulator row carries is in the engine's final row under the same
+// section, and the simulator writes every key stats_metrics() derives.
+TEST(PipelineTelemetry, SimulatorWritesTheEngineSchema) {
+  const auto engine = final_row(exported_run().rows);
+  ASSERT_TRUE(engine.has_value());
+
+  sim::SimSetup setup;
+  setup.num_streams = 2;
+  setup.online = false;
+  setup.frames_per_stream = 300;
+  std::ostringstream sim_rows;
+  setup.metrics_sink = &sim_rows;
+  sim::simulate_ffsva(setup);
+  const auto simulated = final_row(sim_rows.str());
+  ASSERT_TRUE(simulated.has_value()) << sim_rows.str();
+
+  for (const std::string section : {"counters", "rates", "gauges"}) {
+    const auto engine_keys = engine->keys(section);
+    const auto sim_keys = simulated->keys(section);
+    EXPECT_FALSE(sim_keys.empty()) << section;
+    for (const auto& key : sim_keys) {
+      EXPECT_TRUE(engine_keys.count(key)) << section << "/" << key;
+    }
+  }
+  const auto shared = stats_metrics(InstanceStats{}, {});
+  for (const auto& [name, value] : shared.counters) {
+    EXPECT_TRUE(simulated->keys("counters").count(name)) << name;
+    EXPECT_TRUE(simulated->keys("rates").count(name)) << name;
+  }
+  for (const auto& [name, value] : shared.gauges) {
+    EXPECT_TRUE(simulated->keys("gauges").count(name)) << name;
   }
 }
 
