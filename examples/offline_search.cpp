@@ -75,19 +75,23 @@ int main() {
   config.number_of_objects = kCrowd;
   core::FfsVaInstance instance(config);
   instance.add_stream(std::make_unique<video::StoredSource>(stored, 0), models);
+  // The output sink runs on the reference-model thread, which run() joins
+  // before it returns: keep the timestamps of the crowd hits.
+  std::vector<double> hit_pts;
+  instance.set_output_sink([&](const core::OutputEvent& ev) {
+    if (ev.result.count_target(cfg.target) >= kCrowd) hit_pts.push_back(ev.frame.pts_sec);
+  });
   const auto stats = instance.run(/*online=*/false);
   const double ffs_sec = ffs_watch.elapsed_sec();
 
-  // Group surviving frames into scenes (gaps > 1 s start a new scene).
-  std::int64_t ffs_hits = 0;
+  // Group the hits into scenes (gaps > 1 s start a new scene).
+  const auto ffs_hits = static_cast<std::int64_t>(hit_pts.size());
   std::vector<std::pair<double, double>> scenes;
-  for (const auto& ev : instance.outputs()) {
-    if (ev.result.count_target(cfg.target) < kCrowd) continue;
-    ++ffs_hits;
-    if (scenes.empty() || ev.frame.pts_sec - scenes.back().second > 1.0) {
-      scenes.push_back({ev.frame.pts_sec, ev.frame.pts_sec});
+  for (const double pts : hit_pts) {
+    if (scenes.empty() || pts - scenes.back().second > 1.0) {
+      scenes.push_back({pts, pts});
     } else {
-      scenes.back().second = ev.frame.pts_sec;
+      scenes.back().second = pts;
     }
   }
 

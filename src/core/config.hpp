@@ -99,29 +99,25 @@ struct FfsVaConfig {
   /// feedback threshold instead.
   int ingest_buffer = 128;
 
-  // --- supervision (fault tolerance; DESIGN.md Section 9) ------------------
-  /// A stream's decode call in flight for longer than this quarantines the
-  /// stream: its queues are closed and drained, its counters freeze, and
-  /// the other streams keep running. A shared stage (SDD worker, GPU0
-  /// executor, reference thread) busy this long is only counted in
-  /// health.stage_stall_ticks. 0 disables stall detection (a hung source
-  /// then blocks its stream forever — the pre-supervision behavior).
+  // --- supervision (fault tolerance; DESIGN.md Sections 9 and 14) ---------
+  // Each timeout owns one kind of in-flight call and has one response.
+  /// Governs the per-stream decode calls only. A stream's decode in flight
+  /// for longer than this quarantines the stream: its queues are closed and
+  /// drained, its counters freeze, the decode is cancelled, and the other
+  /// streams keep running (Section 9). 0 disables it (a hung source then
+  /// blocks its stream until its decode returns).
   int stall_timeout_ms = 0;
-  /// Wall-clock budget for run(); past it the watchdog invokes stop() and
-  /// the run winds down gracefully. 0 = no deadline.
-  int run_deadline_ms = 0;
   /// Per-frame behavior when a model call throws.
   DegradePolicy degrade_policy = DegradePolicy::kDrop;
   /// Consecutive transient SourceErrors retried (with exponential backoff)
   /// before the prefetch loop escalates to a source restart.
   int source_max_retries = 3;
-  /// A model call (SDD distance, SNM/T-YOLO forward, reference
-  /// segmentation, source decode) in flight for longer than this is
-  /// cancelled by the watchdog: the call unwinds via CancelledError at its
-  /// next tile boundary, the frame follows degrade_policy, and the stage
-  /// restarts under its budget (DESIGN.md Section 14). 0 disables
-  /// cancellation — a wedged call is then only observed via
-  /// health.stage_stall_ticks, the pre-escalation behavior.
+  /// Governs the shared stages' model calls only (SDD distance, SNM/T-YOLO
+  /// forward, reference segmentation). A call in flight for longer than
+  /// this is cancelled by the watchdog: it unwinds via CancelledError at
+  /// its next tile boundary, the frame follows degrade_policy, and the
+  /// stage restarts under its budget (Section 14). 0 disables it (a wedged
+  /// call then holds its stage until it returns).
   int model_call_timeout_ms = 0;
 
   // --- dynamic streams / cluster serving (DESIGN.md §15) -------------------

@@ -197,10 +197,9 @@ struct FfsVaInstance::Stream {
 
   /// The decode currently in flight on this stream's prefetch thread. Its
   /// busy age is the stream's stall clock — blocking on a full queue
-  /// between calls reads as idle. The watchdog cancels it when it overruns
-  /// model_call_timeout_ms, and quarantine cancels it unconditionally —
-  /// that cancel is what makes the prefetch join bounded (the thread is
-  /// joined, never detached).
+  /// between calls reads as idle. Only quarantine cancels it (a decode past
+  /// stall_timeout_ms) — that cancel is what makes the prefetch join
+  /// bounded (the thread is joined, never detached).
   runtime::InflightCall prefetch_call;
 
   /// Per-stage frame counters, indexed by StageId, as relaxed atomics so
@@ -495,9 +494,7 @@ InstanceStats FfsVaInstance::snapshot() const {
   snap.ref_queue_depth = ref_q_.depth();
   h.cancels = cancels_.load(std::memory_order_relaxed);
   h.stage_restarts = stage_restarts_.load(std::memory_order_relaxed);
-  h.stage_stall_ticks = stage_stall_ticks_.load(std::memory_order_relaxed);
   h.stopped = stop_.stop_requested();
-  h.deadline_hit = deadline_hit_.load(std::memory_order_relaxed);
   return snap;
 }
 
@@ -531,7 +528,6 @@ telemetry::MetricsSnapshot stats_metrics(const InstanceStats& snap,
       {"fault.cancelled_calls", d(f.cancelled_calls)},
       {"fault.poisoned_frames", d(f.poisoned_frames)},
       {"streams.quarantined", d(h.quarantined_streams)},
-      {"supervise.stall_ticks", d(h.stage_stall_ticks)},
       {"supervision.cancels", d(h.cancels)},
       {"supervision.stage_restarts", d(h.stage_restarts)},
       {"queue.sdd", d(agg.sdd_queue_depth)},
@@ -603,10 +599,9 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online) {
     const auto decode_t0 = Clock::now();
     const auto frame_no =
         static_cast<std::int64_t>(s->prefetch_in.load(std::memory_order_relaxed));
-    // A hung decode is what the watchdog must see; it may cancel the call
-    // (model_call_timeout_ms, or unconditionally at quarantine to keep the
-    // join bounded). Spans go to the process-global buffer, never the
-    // instance.
+    // A hung decode is what the watchdog must see: past stall_timeout_ms it
+    // quarantines the stream and cancels the call, which keeps the join
+    // bounded. Spans go to the process-global buffer, never the instance.
     const auto read = [&] {
       telemetry::ScopedSpan sp(trace(), "decode", telemetry::Stage::kPrefetch, s->id,
                                frame_no);
@@ -620,9 +615,9 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online) {
     };
     const Call decoded = guarded_call(s->prefetch_call, s->id, frame_no, read);
     if (decoded != Call::kOk) {
-      // A cancelled decode under quarantine means the stream is already
-      // being torn down — just exit (the watchdog counted the cancel).
-      if (decoded == Call::kCancelled && aborted()) break;
+      // Only quarantine cancels a decode: the stream is already being torn
+      // down — just exit (the watchdog counted the cancel).
+      if (decoded == Call::kCancelled) break;
       s->decode_errors.fetch_add(1, std::memory_order_relaxed);
       if (transient && consecutive_retries < cfg.source_max_retries) {
         // Transient contract (video/source.hpp): the source position is
@@ -631,11 +626,11 @@ void FfsVaInstance::prefetch_loop(std::shared_ptr<Stream> s, bool online) {
         sliced_backoff(consecutive_retries++, aborted);
         continue;
       }
-      // A fatal SourceError or a cancelled decode escalates to a source
-      // restart under the budget; anything else (or past the budget) ends
-      // this stream, and downstream drains normally.
-      if ((source_error || decoded == Call::kCancelled) &&
-          restarts_used < kSourceMaxRestarts && s->source->restart()) {
+      // A fatal SourceError escalates to a source restart under the
+      // budget; anything else (or past the budget) ends this stream, and
+      // downstream drains normally.
+      if (source_error && restarts_used < kSourceMaxRestarts &&
+          s->source->restart()) {
         s->restarts.fetch_add(1, std::memory_order_relaxed);
         sliced_backoff(restarts_used++, aborted);
         consecutive_retries = 0;
@@ -1092,12 +1087,9 @@ bool FfsVaInstance::reference_loop(bool allow_restart,
           continue;
         }
         const double latency = ms_since(e.item.ingest);
-        OutputEvent ev{std::move(e.item.frame), std::move(results[i].result), latency};
         if (sink_) {
-          sink_(ev);
-        } else {
-          runtime::MutexLock lk(outputs_mu_);
-          outputs_.push_back(std::move(ev));
+          sink_(OutputEvent{std::move(e.item.frame), std::move(results[i].result),
+                            latency});
         }
         // Finished after the sink call: stream_quiesced() implying "all
         // outputs delivered" is what lets a hand-off serialize a complete
@@ -1141,19 +1133,16 @@ void FfsVaInstance::cancel_overrun(runtime::InflightCall& call, std::int64_t now
   }
 }
 
-void FfsVaInstance::supervise(Clock::time_point t0) {
+void FfsVaInstance::supervise() {
   telemetry::ScopedSpan sp(trace(), "supervise.tick",
                            telemetry::Stage::kSupervise);
-  if (config_.run_deadline_ms > 0 && !deadline_hit_.load(std::memory_order_relaxed) &&
-      ms_since(t0) > static_cast<double>(config_.run_deadline_ms)) {
-    deadline_hit_.store(true, std::memory_order_relaxed);
-    stop();
-  }
   // Both timeouts read one signal, the busy ages of the in-flight slots
-  // (0 = disarmed). Escalation step one (DESIGN.md Section 14): a call in
-  // flight past model_call_timeout_ms is cancelled. It unwinds via
-  // CancelledError at its next tile boundary, and the owning stage degrades
-  // (or poisons) the frame and restarts under the stage budget.
+  // (0 = disarmed), and each owns one kind of slot. Shared stages (SDD
+  // pool, GPU0 executor, reference thread) serve every stream, so they
+  // cannot be quarantined per stream: a call of theirs in flight past
+  // model_call_timeout_ms is cancelled (DESIGN.md Section 14). It unwinds
+  // via CancelledError at its next tile boundary, and the owning stage
+  // degrades (or poisons) the frame and restarts under the stage budget.
   const std::int64_t now = runtime::steady_now_ms();
   const std::int64_t call_timeout = config_.model_call_timeout_ms;
   const std::int64_t stall_timeout = config_.stall_timeout_ms;
@@ -1162,11 +1151,12 @@ void FfsVaInstance::supervise(Clock::time_point t0) {
     cancel_overrun(gpu0_call_, now, call_timeout);
     cancel_overrun(ref_call_, now, call_timeout);
   }
+  if (stall_timeout <= 0) return;
+  // A decode in flight past stall_timeout_ms quarantines its stream
+  // (Section 9).
   const int n = num_streams();
   for (int i = 0; i < n; ++i) {
     Stream& s = *streams_[static_cast<std::size_t>(i)];
-    if (call_timeout > 0) cancel_overrun(s.prefetch_call, now, call_timeout);
-    if (stall_timeout <= 0) continue;
     if (!s.quarantined.load(std::memory_order_acquire)) {
       if (s.prefetch_call.busy_age_ms(now) > stall_timeout) quarantine(s);
     } else {
@@ -1176,17 +1166,6 @@ void FfsVaInstance::supervise(Clock::time_point t0) {
       cancel_overrun(s.prefetch_call, now, stall_timeout);
     }
   }
-  if (stall_timeout <= 0) return;
-  // Shared stages (SDD pool, GPU0 executor, reference thread) serve every
-  // stream, so they cannot be quarantined per stream — a stall there is
-  // surfaced in the health summary (and, with model_call_timeout_ms armed,
-  // already being acted on by the cancellation scan above).
-  bool stalled = gpu0_call_.busy_age_ms(now) > stall_timeout ||
-                 ref_call_.busy_age_ms(now) > stall_timeout;
-  for (const auto& c : sdd_call_) {
-    stalled = stalled || c.busy_age_ms(now) > stall_timeout;
-  }
-  if (stalled) stage_stall_ticks_.fetch_add(1, std::memory_order_relaxed);
 }
 
 InstanceStats FfsVaInstance::run(bool online) {
@@ -1280,14 +1259,13 @@ InstanceStats FfsVaInstance::run(bool online) {
   runtime::Watchdog watchdog;
   int tick = 50;
   bool armed = false;
-  for (const int timeout_ms : {config_.stall_timeout_ms, config_.run_deadline_ms,
-                               config_.model_call_timeout_ms}) {
+  for (const int timeout_ms : {config_.stall_timeout_ms, config_.model_call_timeout_ms}) {
     if (timeout_ms <= 0) continue;
     armed = true;
     tick = std::min(tick, std::max(1, timeout_ms / 4));
   }
   if (armed) {
-    watchdog.start(std::chrono::milliseconds(tick), [this, t0] { supervise(t0); });
+    watchdog.start(std::chrono::milliseconds(tick), [this] { supervise(); });
   }
 
   // Joined, never detached: a prefetch thread wedged inside its source is

@@ -130,18 +130,12 @@ struct HealthSummary {
   int healthy_streams = 0;      ///< No fault counter ticked.
   int degraded_streams = 0;     ///< Faults observed, stream completed.
   int quarantined_streams = 0;  ///< Quarantined by the watchdog.
-  /// Escalation counters (DESIGN.md Section 14): model calls the watchdog
-  /// cancelled and stage restarts taken after a cancel.
+  /// Escalation counters (DESIGN.md Section 14): calls the watchdog
+  /// cancelled (shared-stage calls past model_call_timeout_ms, and the
+  /// decodes quarantine cancels) and stage restarts taken after a cancel.
   std::uint64_t cancels = 0;
   std::uint64_t stage_restarts = 0;
-  /// Watchdog ticks on which a *shared* stage (an SDD worker, the GPU0
-  /// executor, the reference thread) was busy past the stall timeout.
-  /// Shared stages cannot be quarantined per stream; with
-  /// model_call_timeout_ms armed the wedged call is cancelled and the stage
-  /// restarted, otherwise the stall is only surfaced here.
-  std::uint64_t stage_stall_ticks = 0;
-  bool stopped = false;       ///< stop() was requested (by a caller or the deadline).
-  bool deadline_hit = false;  ///< run_deadline_ms expired.
+  bool stopped = false;  ///< stop() was requested.
 };
 
 /// The instance record: what snapshot() returns mid-run (the observable
@@ -214,8 +208,9 @@ class FfsVaInstance {
   /// return means the stream's results are complete and stable.
   bool stream_quiesced(int stream_id) const;
 
-  /// Optional sink invoked (from the reference-model thread) for every
-  /// surviving frame. When unset, outputs are collected in outputs().
+  /// The one output path: a sink invoked (from the reference-model thread)
+  /// for every surviving frame. Without a sink an output is counted
+  /// (ref.passed) and not kept. Call before run().
   void set_output_sink(std::function<void(const OutputEvent&)> sink);
 
   /// Process every stream to completion.
@@ -230,22 +225,16 @@ class FfsVaInstance {
   /// for add_stream(), and serves until stop().
   InstanceStats run(bool online);
 
-  /// Request a graceful shutdown of an in-flight run() from any thread:
-  /// ingest stops, in-flight frames drain, run() returns with the stats
-  /// accumulated so far. Idempotent; safe before, during, or after run().
-  /// With supervision armed, run() returns in bounded time even when a
-  /// source or model call is hung: a wedged call is cancelled by the
-  /// watchdog (config.model_call_timeout_ms) or its stream quarantined
-  /// (config.stall_timeout_ms) — quarantine cancels the in-flight decode,
-  /// so every prefetch thread is joined, never detached.
+  /// The one way to end a run early: request a graceful shutdown of an
+  /// in-flight run() from any thread (a caller that wants a deadline calls
+  /// it from its own timer). Ingest stops, in-flight frames drain, run()
+  /// returns with the stats accumulated so far. Idempotent; safe before,
+  /// during, or after run(). With supervision armed, run() returns in
+  /// bounded time even when a call is hung: a wedged shared-stage call is
+  /// cancelled (config.model_call_timeout_ms) and a hung decode's stream
+  /// quarantined (config.stall_timeout_ms) — quarantine cancels the
+  /// in-flight decode, so every prefetch thread is joined, never detached.
   void stop();
-
-  /// Collected outputs (when no sink is set). Valid after run() returns —
-  /// the reference thread appending to the vector is joined by then, which
-  /// is the edge the analysis cannot see (hence the opt-out).
-  const std::vector<OutputEvent>& outputs() const FFSVA_NO_TSA {
-    return outputs_;
-  }
 
   const FfsVaConfig& config() const { return config_; }
   /// Streams registered so far (monotonic; grows under dynamic add). The
@@ -339,10 +328,11 @@ class FfsVaInstance {
   /// conservation hold through the unwind).
   bool reference_loop(bool allow_restart, std::vector<RefEntry>& pending);
 
-  /// The watchdog tick: run deadline, wedged-call cancellation
-  /// (model_call_timeout_ms), per-stream stall quarantine, shared-stage
-  /// stall observation. Runs on the watchdog thread.
-  void supervise(std::chrono::steady_clock::time_point t0);
+  /// The watchdog tick: one response per kind of in-flight call — a
+  /// shared-stage call past model_call_timeout_ms is cancelled, a decode
+  /// past stall_timeout_ms quarantines its stream. Runs on the watchdog
+  /// thread.
+  void supervise();
   void quarantine(Stream& s);
   /// Cancel `call` if it has been in flight longer than `timeout_ms` (-1:
   /// whatever is in flight), counting the cancel on the instance and on
@@ -364,11 +354,10 @@ class FfsVaInstance {
   std::vector<std::shared_ptr<Stream>> streams_;
   std::atomic<int> nstreams_{0};
   /// Serializes add_stream/end_stream/stop against each other and guards
-  /// the dynamic-add state below. Ordered before outputs_mu_ and the queue
-  /// leaves: stop()'s close sweep and add_stream's waiter notifies run
-  /// under it.
-  mutable runtime::Mutex streams_mu_ FFSVA_ACQUIRED_BEFORE(outputs_mu_){
-      runtime::rank::kEngineStreams, "core::Engine::streams_mu_"};
+  /// the dynamic-add state below. Ordered before the queue leaves: stop()'s
+  /// close sweep and add_stream's waiter notifies run under it.
+  mutable runtime::Mutex streams_mu_{runtime::rank::kEngineStreams,
+                                     "core::Engine::streams_mu_"};
   /// True from just before the stage threads start until they are joined:
   /// the window in which add_stream attaches to the live engine.
   bool engine_live_ FFSVA_GUARDED_BY(streams_mu_) = false;
@@ -380,9 +369,6 @@ class FfsVaInstance {
   // by run() before it returns (see above).
   std::vector<std::thread> late_prefetch_ FFSVA_GUARDED_BY(streams_mu_);
   std::function<void(const OutputEvent&)> sink_;
-  runtime::Mutex outputs_mu_{runtime::rank::kEngineOutputs,
-                             "core::Engine::outputs_mu_"};
-  std::vector<OutputEvent> outputs_ FFSVA_GUARDED_BY(outputs_mu_);
 
   // Multi-queue wakeups: SDD workers sleep here when every SDD queue is
   // empty or claimed; the GPU0 executor sleeps here when no SNM batch is
@@ -396,8 +382,6 @@ class FfsVaInstance {
   // Supervision state.
   runtime::StopToken stop_;
   std::atomic<bool> run_called_{false};
-  std::atomic<bool> deadline_hit_{false};
-  std::atomic<std::uint64_t> stage_stall_ticks_{0};
   /// Escalation totals (DESIGN.md Section 14) with no per-stream home:
   /// watchdog cancels (also attributed per stream) and stage restarts.
   std::atomic<std::uint64_t> cancels_{0};
@@ -405,7 +389,7 @@ class FfsVaInstance {
   /// In-flight model-call registration slots, one per worker thread that
   /// runs model calls (SDD pool workers, the GPU0 executor, the reference
   /// thread; each Stream holds its prefetch slot). The watchdog reads their
-  /// busy ages as the stall signal and cancels exactly the wedged call.
+  /// busy ages and cancels exactly the wedged call.
   std::vector<runtime::InflightCall> sdd_call_;
   runtime::InflightCall gpu0_call_;
   runtime::InflightCall ref_call_;

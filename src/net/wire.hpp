@@ -24,8 +24,9 @@ inline constexpr std::uint32_t kWireMagic = 0x46465356u;  // "FFSV"
 /// Bumped whenever a payload schema changes (2: the kSnapshot record lost
 /// HealthSummary's six per-frame fault totals and gained ingest_fps; 3: its
 /// stream rows lost the three hinted-ingest counters; 4: they lost
-/// decode_full, which the reader derives from prefetch.in).
-inline constexpr std::uint16_t kWireVersion = 4;
+/// decode_full, which the reader derives from prefetch.in; 5: its health
+/// block lost the shared-stage stall count and the deadline flag).
+inline constexpr std::uint16_t kWireVersion = 5;
 /// Payload cap. Snapshots are ~100 B/stream, specs are smaller; anything
 /// near this bound is a corrupt or hostile length field, not a real frame.
 inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;

@@ -358,7 +358,6 @@ std::vector<StreamOutcome> run_local(const std::vector<StreamSpec>& specs,
     MaterializedStream m = materialize(spec);
     inst.add_stream(std::move(m.source), std::move(m.models));
   }
-  inst.run(/*online=*/false);
   std::map<std::uint32_t, StreamOutcome> by_id;
   for (const StreamSpec& spec : specs) {
     StreamOutcome o;
@@ -366,10 +365,13 @@ std::vector<StreamOutcome> run_local(const std::vector<StreamSpec>& specs,
     o.ingested = spec.end - spec.begin;  // offline pacing: lossless ingest
     by_id[spec.stream_id] = std::move(o);
   }
-  for (const core::OutputEvent& ev : inst.outputs()) {
+  // The sink runs on the reference thread, which run() joins before it
+  // returns.
+  inst.set_output_sink([&by_id](const core::OutputEvent& ev) {
     by_id[static_cast<std::uint32_t>(ev.frame.stream_id)].emitted.push_back(
         static_cast<std::uint64_t>(ev.frame.index));
-  }
+  });
+  inst.run(/*online=*/false);
   std::vector<StreamOutcome> out;
   out.reserve(by_id.size());
   for (auto& [id, o] : by_id) {

@@ -100,10 +100,7 @@ int cmd_serve(int argc, char** argv) {
                             : net::Endpoint::uds(uds);
   const std::uint32_t node_id = opts.node_id;
   node::NodeServer server(std::move(opts));
-  if (!server.start()) {
-    std::fprintf(stderr, "%s: cannot bind listener\n", argv[0]);
-    return 1;
-  }
+  if (!server.start()) return 1;  // start() said why
   // The resolved endpoint, for harnesses that asked for --port 0.
   if (uds.empty()) {
     std::printf("{\"node_id\":%u,\"port\":%d}\n", node_id, server.port());

@@ -28,11 +28,25 @@ NodeServer::NodeServer(NodeOptions opts)
 
 NodeServer::~NodeServer() {
   stop();
+  // serve() stops the engine on its way out; a server that was started but
+  // never served must stop it here, or the serve-mode run never returns.
+  inst_.stop();
   if (engine_.joinable()) engine_.join();
 }
 
 bool NodeServer::start() {
-  if (!listener_.listen(opts_.listen)) return false;
+  if (!opts_.metrics_path.empty()) {
+    inst_.set_metrics_node_id(static_cast<int>(opts_.node_id));
+    if (!inst_.enable_metrics_export(opts_.metrics_path, opts_.metrics_label)) {
+      std::fprintf(stderr, "ffsva_node[%u]: cannot open metrics file %s\n",
+                   opts_.node_id, opts_.metrics_path.c_str());
+      return false;
+    }
+  }
+  if (!listener_.listen(opts_.listen)) {
+    std::fprintf(stderr, "ffsva_node[%u]: cannot bind listener\n", opts_.node_id);
+    return false;
+  }
   inst_.set_output_sink([this](const core::OutputEvent& ev) {
     // Reference-thread context. WindowSource stamps the cluster-global
     // stream id into every frame, so no translation is needed here.
@@ -41,10 +55,6 @@ bool NodeServer::start() {
         static_cast<std::uint64_t>(ev.frame.index));
   });
   wire_node_metrics();
-  if (!opts_.metrics_path.empty()) {
-    inst_.set_metrics_node_id(static_cast<int>(opts_.node_id));
-    inst_.enable_metrics_export(opts_.metrics_path, opts_.metrics_label);
-  }
   // thread-ok: the engine thread; joined in serve()'s epilogue (or stop()).
   engine_ = std::thread([this] {
     try {

@@ -58,8 +58,9 @@ class NodeServer {
   NodeServer(const NodeServer&) = delete;
   NodeServer& operator=(const NodeServer&) = delete;
 
-  /// Bind the listener and start the engine thread. False if the endpoint
-  /// cannot be bound. After start(), port() is the resolved TCP port.
+  /// Bind the listener and start the engine thread. False, with a message
+  /// on stderr, if metrics_path cannot be opened or the endpoint cannot be
+  /// bound. After start(), port() is the resolved TCP port.
   bool start();
 
   /// Control loop; blocks until kStop arrives or stop() is called.

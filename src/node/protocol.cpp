@@ -96,17 +96,14 @@ void write_health(std::ostream& os, const core::HealthSummary& h) {
   w(os, static_cast<std::int32_t>(h.quarantined_streams));
   w(os, h.cancels);
   w(os, h.stage_restarts);
-  w(os, h.stage_stall_ticks);
   w_bool(os, h.stopped);
-  w_bool(os, h.deadline_hit);
 }
 
 bool read_health(std::istream& is, core::HealthSummary* h) {
   std::int32_t healthy = 0, degraded = 0, quarantined = 0;
   if (!(r(is, &healthy) && r(is, &degraded) && r(is, &quarantined) &&
         r(is, &h->cancels) && r(is, &h->stage_restarts) &&
-        r(is, &h->stage_stall_ticks) && r_bool(is, &h->stopped) &&
-        r_bool(is, &h->deadline_hit))) {
+        r_bool(is, &h->stopped))) {
     return false;
   }
   h->healthy_streams = healthy;

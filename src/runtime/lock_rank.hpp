@@ -51,8 +51,6 @@ inline constexpr std::uint32_t kNodeControl = 100;
 inline constexpr std::uint32_t kEngineStreams = 200;
 /// core::ClusterManager::mu_ — placement/admission state.
 inline constexpr std::uint32_t kClusterManager = 250;
-/// core::FfsVaInstance::outputs_mu_ — sink-less output collection.
-inline constexpr std::uint32_t kEngineOutputs = 300;
 
 // --- Telemetry / supervision ------------------------------------------------
 /// telemetry::Registry::mu_ — metric maps; gauge callbacks run under it,

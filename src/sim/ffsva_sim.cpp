@@ -37,7 +37,7 @@ struct SimStream {
   core::StreamStats stats;  ///< Counters only; see SimResult::stats.
   /// Report-only, as in the engine: merged into the result's row at the end.
   runtime::Histogram latency_ms;
-  double finish_time_sec = 0.0;  ///< Virtual time of the last output.
+  double finish_time_sec = 0.0;  ///< Virtual time of the last finished frame.
 
   SimStream(int id_, std::unique_ptr<OutcomeSource> out, const core::FfsVaConfig& cfg,
             bool online)
@@ -53,6 +53,7 @@ struct SimStream {
   void finish(double now, const SimFrame& fr) {
     latency_ms.add((now - fr.arrival) * 1e3);
     ++stats.terminated;
+    finish_time_sec = now;
   }
 };
 
@@ -61,9 +62,6 @@ struct SimStream {
 /// the streams' aggregate.
 core::StreamStats summarize(SimResult& r) {
   r.stats.health.healthy_streams = static_cast<int>(r.stats.streams.size());
-  for (double& t : r.finish_time_sec) {
-    if (t == 0.0) t = r.sim_time_sec;
-  }
   const core::StreamStats agg = r.stats.aggregate();
   r.stats.outputs = agg.ref.passed;
   const double arrived = static_cast<double>(agg.prefetch.in);
@@ -369,7 +367,6 @@ class FfsVaSimulation {
         ++s.stats.ref.passed;
         output_latency_.add((engine_.now() - fr.arrival) * 1e3);
         s.finish(engine_.now(), fr);
-        s.finish_time_sec = engine_.now();
         ref_loop();
       });
     });

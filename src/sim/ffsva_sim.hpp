@@ -73,8 +73,8 @@ struct SimResult {
   /// outputs, latency_ms = arrival to filtered or output. The baseline has
   /// no filters, so only prefetch and ref count there.
   core::InstanceStats stats;
-  /// Virtual time of each stream's last output (the run's end for a stream
-  /// without one), indexed like stats.streams.
+  /// Virtual time of each stream's last finished frame (filtered or
+  /// output), indexed like stats.streams.
   std::vector<double> finish_time_sec;
   double sim_time_sec = 0.0;
 

@@ -115,9 +115,9 @@ TEST(Backpressure, TinyQueuesStillProcessEverything) {
   cfg.tyolo_queue_depth = 1;
   cfg.ref_queue_depth = 1;
   cfg.batch_size = 4;  // larger than the SNM queue: the feedback cap binds
+  std::atomic<std::int64_t> emitted{0};  // declared first: outlives the source
   FfsVaInstance instance(cfg);
-  instance.add_stream(std::make_unique<CountingSource>(
-                          s.sim, 500, 700, *new std::atomic<std::int64_t>{0}),
+  instance.add_stream(std::make_unique<CountingSource>(s.sim, 500, 700, emitted),
                       s.models);
   const auto stats = instance.run(false);
   const auto& st = stats.streams[0];
@@ -130,9 +130,9 @@ TEST(Backpressure, StaticPolicyDrainsPartialFinalBatch) {
   FfsVaConfig cfg;
   cfg.batch_policy = BatchPolicy::kStatic;
   cfg.batch_size = 64;  // stream length is not a multiple of this
+  std::atomic<std::int64_t> emitted{0};  // declared first: outlives the source
   FfsVaInstance instance(cfg);
-  instance.add_stream(std::make_unique<CountingSource>(
-                          s.sim, 500, 650, *new std::atomic<std::int64_t>{0}),
+  instance.add_stream(std::make_unique<CountingSource>(s.sim, 500, 650, emitted),
                       s.models);
   const auto stats = instance.run(false);
   EXPECT_EQ(stats.streams[0].latency_ms.count(), 150u)

@@ -1,9 +1,10 @@
 // Supervision-layer integration tests: fault injection through the full
 // threaded engine (DESIGN.md Section 9). The contract under test: faults
 // stay per-stream (a hung or failing source never wedges the shared
-// stages), degraded frames are accounted (never silently lost), stop() and
-// the run deadline wind a run down promptly, and a quarantined stream's
-// prefetch thread is cancelled and joined before run() returns.
+// stages), degraded frames are accounted (never silently lost), stop()
+// winds a run down promptly, each supervision timeout has one response,
+// and a quarantined stream's prefetch thread is cancelled and joined before
+// run() returns.
 //
 // This binary carries the `tsan` and `asan` ctest labels: the quarantine /
 // cancel-and-join machinery is exactly the code whose races and lifetimes
@@ -20,6 +21,8 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "detect/fault_hook.hpp"
+#include "detect/sdd.hpp"
 #include "video/fault_injection.hpp"
 #include "video/profiles.hpp"
 #include "video/source.hpp"
@@ -75,8 +78,8 @@ class ReplaySource final : public video::FrameSource {
   std::size_t next_ = 0;
 };
 
-/// Cycles the window forever — for stop()/deadline tests, which must end
-/// the run themselves.
+/// Cycles the window forever — for stop() tests, which must end the run
+/// themselves.
 class EndlessSource final : public video::FrameSource {
  public:
   EndlessSource(const std::vector<video::Frame>* window, int stream_id)
@@ -382,26 +385,64 @@ TEST(FaultTolerance, StopUnwindsAnEndlessRun) {
   runner.join();  // would hang forever if stop() did not take
 
   EXPECT_TRUE(stats.health.stopped);
-  EXPECT_FALSE(stats.health.deadline_hit);
   EXPECT_GT(stats.aggregate().prefetch.passed, 0u);
 }
 
-// The run deadline is the same mechanism, armed from config: the watchdog
-// calls stop() when the budget expires.
-TEST(FaultTolerance, DeadlineStopsTheRun) {
+// Each timeout owns one kind of in-flight call and has one response, even
+// with both armed and the shorter one the call timeout: a hung decode is
+// quarantined under stall_timeout_ms (never cancelled and restarted under
+// model_call_timeout_ms), and a wedged shared-stage call is cancelled and
+// its stage restarted. Only what holds when a slow (sanitized) build also
+// cancels healthy calls is asserted: no survivor sets are compared.
+TEST(FaultTolerance, OneResponsePerInFlightSlot) {
   auto& w = world();
+  constexpr int kStreams = 4;
+  constexpr int kStall = 1;
+  const auto frames = static_cast<std::uint64_t>(w.window.size());
+  detect::FaultHook hook({detect::ModelFaultSpec{
+      detect::FaultStage::kSnm, detect::ModelFaultSpec::Kind::kStall,
+      /*offset=*/0, /*period=*/0, /*max_triggers=*/1, /*duration_ms=*/30'000}});
+  hook.install();
+
+  // Every frame passes SDD, so SNM has traffic for the wedge to land on.
+  detect::StreamModels models = w.models;
+  models.sdd = std::make_shared<detect::SddFilter>(*w.models.sdd);
+  models.sdd->set_delta(-1.0);
+
   FfsVaConfig cfg;
-  cfg.run_deadline_ms = 300;
+  cfg.stall_timeout_ms = 250;
+  cfg.model_call_timeout_ms = 100;
   FfsVaInstance instance(cfg);
-  for (int s = 0; s < 4; ++s) {
-    instance.add_stream(std::make_unique<EndlessSource>(&w.window, s), w.models);
+  for (int s = 0; s < kStreams; ++s) {
+    if (s == kStall) {
+      video::FaultPlan plan;
+      plan.stall_at = 10;
+      plan.stall_ms = 1500;  // past both timeouts
+      instance.add_stream(faulty(&w.window, s, plan, 7), models);
+    } else {
+      instance.add_stream(std::make_unique<ReplaySource>(&w.window, s), models);
+    }
   }
   instance.set_output_sink([](const OutputEvent&) {});
 
-  const auto stats = instance.run(/*online=*/false);  // returns on its own
-  EXPECT_TRUE(stats.health.deadline_hit);
-  EXPECT_TRUE(stats.health.stopped);
-  EXPECT_GT(stats.aggregate().prefetch.passed, 0u);
+  const auto stats = instance.run(/*online=*/false);
+  detect::FaultHook::uninstall();
+
+  EXPECT_EQ(hook.triggered(0), 1) << "the SNM wedge never fired";
+  ASSERT_EQ(stats.streams.size(), static_cast<std::size_t>(kStreams));
+  const auto& hung = stats.streams[kStall];
+  EXPECT_TRUE(hung.fault.quarantined) << "hung decode not quarantined";
+  EXPECT_EQ(hung.fault.restarts, 0u) << "hung decode cancelled and restarted";
+  EXPECT_GE(stats.health.cancels, 1u);
+  EXPECT_GE(stats.health.stage_restarts, 1u);
+  EXPECT_EQ(stats.health.quarantined_streams, 1);
+  for (int s = 0; s < kStreams; ++s) {
+    if (s == kStall) continue;
+    const auto& st = stats.streams[static_cast<std::size_t>(s)];
+    EXPECT_FALSE(st.fault.quarantined) << "stream " << s;
+    EXPECT_EQ(st.prefetch.passed, frames) << "stream " << s;
+    EXPECT_EQ(st.latency_ms.count(), frames) << "stream " << s;
+  }
 }
 
 }  // namespace

@@ -64,11 +64,22 @@ class WindowSource final : public video::FrameSource {
   std::int64_t next_, end_;
 };
 
+/// (stream, frame index) of every output, in delivery order. The sink runs
+/// on the reference-model thread, which run() joins before it returns.
+using Emitted = std::vector<std::pair<int, std::int64_t>>;
+void collect_outputs(FfsVaInstance& instance, Emitted& out) {
+  instance.set_output_sink([&out](const OutputEvent& ev) {
+    out.emplace_back(ev.frame.stream_id, ev.frame.index);
+  });
+}
+
 TEST(Pipeline, OfflineConservesFrames) {
   auto& s = shared_stream();
   FfsVaConfig cfg;
   FfsVaInstance instance(cfg);
   instance.add_stream(std::make_unique<WindowSource>(s.sim, 0, 700, 1000), s.models);
+  Emitted emitted;
+  collect_outputs(instance, emitted);
   const auto stats = instance.run(/*online=*/false);
 
   ASSERT_EQ(stats.streams.size(), 1u);
@@ -84,7 +95,7 @@ TEST(Pipeline, OfflineConservesFrames) {
   EXPECT_EQ(st.ref.passed, st.ref.in);
   // Every frame terminated exactly once (latency recorded for each).
   EXPECT_EQ(st.latency_ms.count(), 300u);
-  EXPECT_EQ(instance.outputs().size(), static_cast<std::size_t>(st.ref.passed));
+  EXPECT_EQ(emitted.size(), static_cast<std::size_t>(st.ref.passed));
 }
 
 TEST(Pipeline, MatchesSequentialCascade) {
@@ -103,10 +114,12 @@ TEST(Pipeline, MatchesSequentialCascade) {
   cfg.number_of_objects = 1;
   FfsVaInstance instance(cfg);
   instance.add_stream(std::make_unique<WindowSource>(s.sim, 0, 1000, 1200), s.models);
+  Emitted emitted;
+  collect_outputs(instance, emitted);
   instance.run(false);
 
   std::set<std::int64_t> got;
-  for (const auto& ev : instance.outputs()) got.insert(ev.frame.index);
+  for (const auto& [stream, index] : emitted) got.insert(index);
   EXPECT_EQ(got, expected);
 }
 
@@ -121,7 +134,6 @@ TEST(Pipeline, OutputSinkReceivesEvents) {
     events.fetch_add(1);
   });
   instance.run(false);
-  EXPECT_TRUE(instance.outputs().empty());
   EXPECT_GT(events.load(), 0);
 }
 
@@ -131,15 +143,17 @@ TEST(Pipeline, MultiStreamKeepsStreamsSeparate) {
   FfsVaInstance instance(cfg);
   instance.add_stream(std::make_unique<WindowSource>(s.sim, 0, 700, 850), s.models);
   instance.add_stream(std::make_unique<WindowSource>(s.sim, 1, 850, 1000), s.models);
+  Emitted emitted;
+  collect_outputs(instance, emitted);
   const auto stats = instance.run(false);
   ASSERT_EQ(stats.streams.size(), 2u);
   EXPECT_EQ(stats.streams[0].prefetch.in, 150u);
   EXPECT_EQ(stats.streams[1].prefetch.in, 150u);
-  for (const auto& ev : instance.outputs()) {
-    if (ev.frame.stream_id == 0) {
-      EXPECT_LT(ev.frame.index, 850);
+  for (const auto& [stream, index] : emitted) {
+    if (stream == 0) {
+      EXPECT_LT(index, 850);
     } else {
-      EXPECT_GE(ev.frame.index, 850);
+      EXPECT_GE(index, 850);
     }
   }
   const auto agg = stats.aggregate();
@@ -157,9 +171,11 @@ TEST(Pipeline, BatchPoliciesProduceSameSurvivors) {
     cfg.batch_size = 8;
     FfsVaInstance instance(cfg);
     instance.add_stream(std::make_unique<WindowSource>(s.sim, 0, 700, 950), s.models);
+    Emitted emitted;
+    collect_outputs(instance, emitted);
     instance.run(false);
-    for (const auto& ev : instance.outputs()) {
-      outputs_by_policy[static_cast<int>(p)].insert(ev.frame.index);
+    for (const auto& [stream, index] : emitted) {
+      outputs_by_policy[static_cast<int>(p)].insert(index);
     }
   }
   EXPECT_EQ(outputs_by_policy[0], outputs_by_policy[1]);
@@ -183,11 +199,13 @@ TEST(Pipeline, PerStreamFifoOrderingOfOutputs) {
   auto& s = shared_stream();
   FfsVaInstance instance(FfsVaConfig{});
   instance.add_stream(std::make_unique<WindowSource>(s.sim, 0, 700, 1000), s.models);
+  Emitted emitted;
+  collect_outputs(instance, emitted);
   instance.run(false);
   std::int64_t prev = -1;
-  for (const auto& ev : instance.outputs()) {
-    EXPECT_GT(ev.frame.index, prev) << "outputs must preserve stream order";
-    prev = ev.frame.index;
+  for (const auto& [stream, index] : emitted) {
+    EXPECT_GT(index, prev) << "outputs must preserve stream order";
+    prev = index;
   }
 }
 

@@ -133,11 +133,13 @@ RunResult run_window(RefMode mode, int streams, std::int64_t begin,
     instance.add_stream(make_source(i, streams, begin, end, truncate), s.models);
   }
   RunResult r;
-  r.stats = instance.run(/*online=*/false);
-  for (const auto& ev : instance.outputs()) {
+  // The sink runs on the reference-model thread, which run() joins before
+  // it returns.
+  instance.set_output_sink([&r](const OutputEvent& ev) {
     r.outputs.emplace_back(ev.frame.stream_id, ev.frame.index);
     r.results.push_back(ev.result);
-  }
+  });
+  r.stats = instance.run(/*online=*/false);
   r.drop_hist_count = instance.metrics().histogram("latency.drop_ms").count();
   r.output_hist_count = instance.metrics().histogram("latency.output_ms").count();
   r.ref_batches = instance.metrics().counter("executor.ref_batches").value();

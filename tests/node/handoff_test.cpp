@@ -126,5 +126,24 @@ TEST(Handoff, SingleNodeNoMigrationStillVerifies) {
   }
 }
 
+// An unopenable metrics file fails start() instead of leaving the node
+// running with export silently off.
+TEST(NodeServer, StartFailsWhenTheMetricsFileCannotBeOpened) {
+  NodeOptions opts;
+  opts.config = small_config();
+  opts.metrics_path = "/nonexistent-dir/x/metrics.jsonl";
+  NodeServer server(std::move(opts));
+  EXPECT_FALSE(server.start());
+}
+
+// A server that was started but never served stops its engine in the
+// destructor instead of waiting forever on the serve-mode run.
+TEST(NodeServer, StartedServerThatNeverServedShutsDown) {
+  NodeOptions opts;
+  opts.config = small_config();
+  NodeServer server(std::move(opts));
+  ASSERT_TRUE(server.start());
+}
+
 }  // namespace
 }  // namespace ffsva::node

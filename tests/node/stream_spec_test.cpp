@@ -153,8 +153,8 @@ TEST(Protocol, SnapshotRoundTripsEveryField) {
   h.healthy_streams = static_cast<int>(v());
   h.degraded_streams = static_cast<int>(v());
   h.quarantined_streams = static_cast<int>(v());
-  for (auto* f : {&h.cancels, &h.stage_restarts, &h.stage_stall_ticks}) *f = v();
-  h.stopped = h.deadline_hit = true;
+  for (auto* f : {&h.cancels, &h.stage_restarts}) *f = v();
+  h.stopped = true;
   for (int i = 0; i < 2; ++i) {
     core::StreamStats& s = snap.streams.emplace_back();
     s.id = static_cast<int>(v());
@@ -183,7 +183,7 @@ TEST(Protocol, SnapshotRoundTripsEveryField) {
     return std::tuple(x.running, x.t_sec, x.ref_queue_depth, x.outputs,
                       x.streams.size(), hs.healthy_streams, hs.degraded_streams,
                       hs.quarantined_streams, hs.cancels, hs.stage_restarts,
-                      hs.stage_stall_ticks, hs.stopped, hs.deadline_hit);
+                      hs.stopped);
   };
   const auto stream_fields = [](const core::StreamStats& x) {
     const core::IngestStats& in = x.ingest;

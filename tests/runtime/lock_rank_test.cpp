@@ -69,7 +69,7 @@ TEST(LockRank, UnrankedMutexesStayOffTheStack) {
   MutexLock lb(b);
   EXPECT_EQ(lock_rank_held_depth(), 0);
   // An unranked lock under a ranked one is equally invisible.
-  Mutex ranked{rank::kEngineOutputs, "test::ranked"};
+  Mutex ranked{rank::kClusterManager, "test::ranked"};
   MutexLock lr(ranked);
   if (lock_rank_checks_enabled()) EXPECT_EQ(lock_rank_held_depth(), 1);
 }

@@ -41,6 +41,36 @@ void check_conservation(const SimResult& r) {
   EXPECT_EQ(r.output_latency_ms.count(), r.stats.outputs);
 }
 
+/// Every frame of a stream meets the same fate.
+class ConstantOutcomes final : public OutcomeSource {
+ public:
+  explicit ConstantOutcomes(core::FilteredAt fate) : fate_(fate) {}
+  core::FilteredAt next() override { return fate_; }
+
+ private:
+  core::FilteredAt fate_;
+};
+
+// A stream's finish time is when its last frame finished, filtered or
+// output: a stream whose every frame ends at SDD finishes early, not when
+// the run drains.
+TEST(FfsVaSim, FinishTimeIsTheLastFinishedFrame) {
+  SimSetup s;
+  s.online = false;
+  s.num_streams = 2;
+  s.frames_per_stream = 300;
+  s.make_outcomes = [](int i) {
+    return std::make_unique<ConstantOutcomes>(i == 0 ? core::FilteredAt::kSdd
+                                                     : core::FilteredAt::kNone);
+  };
+  const auto r = simulate_ffsva(s);
+  ASSERT_EQ(r.finish_time_sec.size(), 2u);
+  EXPECT_EQ(r.stats.streams[0].ref.passed, 0u);
+  EXPECT_EQ(r.stats.streams[1].ref.passed, 300u);
+  EXPECT_GT(r.finish_time_sec[0], 0.0);
+  EXPECT_LT(r.finish_time_sec[0], r.finish_time_sec[1]);
+}
+
 TEST(FfsVaSim, OfflineConservesFrames) {
   const auto r = simulate_ffsva(setup_for(0.2, 1, false));
   EXPECT_EQ(r.stats.aggregate().prefetch.passed, 3000u);

@@ -149,7 +149,7 @@ TEST(PipelineTelemetry, RealRunExportsTraceAndMetrics) {
        {"\"sdd.in\"", "\"snm.in\"", "\"tyolo.in\"", "\"ref.passed\"",
         "\"drop.sdd\"", "\"drop.snm\"", "\"drop.tyolo\"", "\"queue.sdd\"",
         "\"queue.snm\"", "\"queue.tyolo\"", "\"queue.ref\"",
-        "\"supervise.stall_ticks\"", "\"executor.batch_size\"", "\"rates\"",
+        "\"supervision.cancels\"", "\"executor.batch_size\"", "\"rates\"",
         "\"label\":\"itest\""}) {
     EXPECT_NE(rows.find(key), std::string::npos) << key;
   }
@@ -170,8 +170,8 @@ TEST(PipelineTelemetry, RealRunExportsTraceAndMetrics) {
       "fault.restarts", "fault.retries", "latency.decode_p50_ms",
       "latency.decode_p99_ms", "prefetch.in", "prefetch.passed", "queue.ref",
       "queue.sdd", "queue.snm", "queue.tyolo", "streams.quarantined",
-      "supervise.stall_ticks", "supervision.cancels", "supervision.stage_restarts"};
-  ASSERT_EQ(gauges.size(), 20u);
+      "supervision.cancels", "supervision.stage_restarts"};
+  ASSERT_EQ(gauges.size(), 19u);
   const std::set<std::string> hists = {
       "executor.batch_size", "executor.ref_batch_size", "executor.tyolo_take",
       "latency.drop_ms", "latency.output_ms", "latency.recovery_ms",
